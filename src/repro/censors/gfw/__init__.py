@@ -1,6 +1,6 @@
-"""China's Great Firewall model: per-protocol boxes with resync bugs."""
+"""China's Great Firewall model: per-protocol boxes with resync bugs over one flow table."""
 
-from .box import FlowTCB, ProtocolBox
+from .box import FlowRecord, FlowTCB, ProtocolBox
 from .gfw import MATCHERS, GreatFirewall
 from .profiles import (
     CHINA_PROFILES,
@@ -24,6 +24,7 @@ __all__ = [
     "EVENT_RST",
     "EVENT_SYN",
     "EVENT_SYNACK_PAYLOAD",
+    "FlowRecord",
     "FlowTCB",
     "GreatFirewall",
     "MATCHERS",

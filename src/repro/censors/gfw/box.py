@@ -1,8 +1,8 @@
-"""One GFW protocol censorship box: TCB tracking, resync state, DPI.
+"""GFW protocol boxes and the per-flow state they keep.
 
 Implements the paper's refined model of the GFW's per-flow machinery:
 
-- a TCB is created when the box sees a client SYN (the GFW explicitly
+- a TCB is created when a box sees a client SYN (the GFW explicitly
   determines which host initiated the connection and processes the two
   directions differently — §3);
 - DPI runs only on client payload bytes whose sequence number matches the
@@ -18,82 +18,82 @@ Implements the paper's refined model of the GFW's per-flow machinery:
   TCB-teardown channel — which is why §3's client-side strategies worked
   from the client but their server-side analogs do not);
 - boxes never fail closed: flows without a TCB are ignored.
+
+Every box tracks every connection, so the boxes share one flow table
+(:class:`FlowRecord`, one per connection, owned by
+:class:`~repro.censors.gfw.GreatFirewall`) holding the endpoints and the
+client ISN once, plus one :class:`FlowTCB` per box: that box's private
+tracking state. A :class:`ProtocolBox` holds a box's calibration,
+precomputed probability tables and per-trial counters; the per-packet
+logic for all boxes lives in ``GreatFirewall.process``.
 """
 
 from __future__ import annotations
 
-import random
-from typing import Callable, Dict, Optional, Tuple
+from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Tuple
 
-from ...netsim import PathContext
-from ...obs.metrics import Counter
 from ...packets import Packet
-from ...tcpstack.endpoint import seq_delta
-from ..base import Censor, FlowKey, flow_key
+from ..base import FlowKey
 from ..keywords import KeywordSet
-from .profiles import (
-    EVENT_CORRUPT_ACK,
-    EVENT_PAYLOAD_OTHER,
-    EVENT_PAYLOAD_SYN,
-    EVENT_RST,
-    EVENT_SYN,
-    EVENT_SYNACK_PAYLOAD,
-    RESYNC_ON_CLIENT,
-    RESYNC_ON_SYNACK_OR_CLIENT_ACK,
-    RESYNC_TARGETS,
-    BoxProfile,
-)
+from .profiles import BoxProfile
 
-__all__ = ["ProtocolBox", "FlowTCB"]
+if TYPE_CHECKING:  # pragma: no cover
+    from .gfw import GreatFirewall
+
+__all__ = ["FlowRecord", "FlowTCB", "ProtocolBox"]
 
 MODE_TRACKING = "tracking"
 MODE_RESYNC = "resync"
 MODE_IGNORED = "ignored"
-
-_WINDOW = 65536
-_MOD = 1 << 32
-
-#: §5.1 resync-state entries, by protocol box and the anomaly event that
-#: fired. Deterministic: draws come from the trial's seeded RNG.
-_RESYNC_EVENTS = Counter(
-    "repro_gfw_resync_total",
-    "GFW box resynchronization-state entries, by protocol and trigger",
-    ("protocol", "event"),
-)
-#: Residual-censorship timers armed after a censorship verdict.
-_RESIDUAL_TIMERS = Counter(
-    "repro_gfw_residual_timers_total",
-    "Residual-censorship timers armed on (server, port) endpoints",
-    ("protocol",),
-)
 
 #: Verdict function: payload bytes -> None (not mine) / False / True.
 Matcher = Callable[[bytes, KeywordSet], Optional[bool]]
 
 
 class FlowTCB:
-    """Per-flow transmission control block inside one censorship box."""
+    """One box's transmission control block for one flow."""
 
-    def __init__(self, packet: Packet, miss: bool, can_reassemble: bool) -> None:
-        self.client_ip = packet.src
-        self.client_port = packet.sport
-        self.server_ip = packet.dst
-        self.server_port = packet.dport
-        self.client_isn = packet.tcp.seq
-        self.client_next = (packet.tcp.seq + 1) % _MOD
-        self.server_next = 0
+    __slots__ = (
+        "mode",
+        "resync_target",
+        "client_next",
+        "server_next",
+        "in_handshake",
+        "anomalies",
+        "miss",
+        "can_reassemble",
+        "buffer",
+        "residual_kill",
+    )
+
+    def __init__(self, client_next: int, miss: bool, can_reassemble: bool) -> None:
         self.mode = MODE_TRACKING
         self.resync_target = ""
+        self.client_next = client_next
+        self.server_next = 0
         self.in_handshake = True
-        self.anomalies: list = []
+        self.anomalies: List[str] = []
         self.miss = miss
         self.can_reassemble = can_reassemble
         self.buffer = bytearray()
         self.residual_kill = False
 
-    def from_client(self, packet: Packet) -> bool:
-        """Whether ``packet`` travels client-to-server for this flow."""
-        return packet.src == self.client_ip and packet.sport == self.client_port
+
+class FlowRecord:
+    """One tracked connection: shared endpoints plus each box's TCB.
+
+    ``tcbs[i]`` belongs to the GFW's ``i``-th box (in box order).
+    """
+
+    __slots__ = ("client_ip", "client_port", "server_ip", "server_port", "client_isn", "tcbs")
+
+    def __init__(self, packet: Packet, tcbs: List[FlowTCB]) -> None:
+        self.client_ip = packet.ip.src
+        self.client_port = packet.tcp.sport
+        self.server_ip = packet.ip.dst
+        self.server_port = packet.tcp.dport
+        self.client_isn = packet.tcp.seq
+        self.tcbs = tcbs
 
 
 class ProtocolBox:
@@ -102,6 +102,12 @@ class ProtocolBox:
     Attributes:
         profile: The box's calibrated quirk profile.
         keywords: Censored keyword sets for DPI.
+        matcher: The box's DPI verdict function.
+        index: The box's slot in every :attr:`FlowRecord.tcbs`.
+        event_probs: ``event -> P(enter resync)``, positive entries only.
+        combo_probs: ``event -> {prior event -> P(enter resync)}``,
+            positive entries only.
+        residual: ``(server, port) -> expiry`` residual-censorship timers.
         censor_count: Censorship actions taken this trial.
     """
 
@@ -110,208 +116,26 @@ class ProtocolBox:
         profile: BoxProfile,
         keywords: KeywordSet,
         matcher: Matcher,
-        rng: random.Random,
-        censor: Censor,
-        max_flows: Optional[int] = None,
+        gfw: "GreatFirewall",
+        index: int,
     ) -> None:
         self.profile = profile
+        self.protocol = profile.protocol
         self.keywords = keywords
         self.matcher = matcher
-        self.rng = rng
-        self.censor = censor
-        #: TCB capacity: "maintaining a TCB on a per-flow basis is
-        #: challenging at scale, and thus on-path censors naturally take
-        #: several shortcuts" (§2.1). When bounded, the oldest flow is
-        #: evicted — which makes state-exhaustion an evasion vector.
-        self.max_flows = max_flows
-        self.flows: Dict[FlowKey, FlowTCB] = {}
+        self.index = index
+        self._gfw = gfw
+        self.event_probs, self.combo_probs = profile.resync_tables
         self.residual: Dict[Tuple[str, int], float] = {}
         self.censor_count = 0
-        self.evictions = 0
 
-    # ------------------------------------------------------------------
+    @property
+    def flows(self) -> Dict[FlowKey, FlowTCB]:
+        """This box's TCB for every tracked flow, oldest first."""
+        index = self.index
+        return {key: flow.tcbs[index] for key, flow in self._gfw.flows.items()}
 
-    def observe(
-        self,
-        packet: Packet,
-        direction: str,
-        ctx: PathContext,
-        key: Optional[FlowKey] = None,
-    ) -> None:
-        """Process one on-path packet (never drops; may inject).
-
-        ``key`` lets a multi-box censor compute the flow key once per
-        packet and share it; standalone callers may omit it.
-        """
-        if key is None:
-            key = flow_key(packet)
-        if direction == "c2s" and packet.tcp.is_syn:
-            self._create_tcb(key, packet, ctx)
-            return
-        tcb = self.flows.get(key)
-        if tcb is None:
-            return  # no TCB: the box fails open
-        if tcb.mode == MODE_IGNORED:
-            return
-        if tcb.from_client(packet):
-            self._observe_client(tcb, packet, ctx)
-        else:
-            self._observe_server(tcb, packet, ctx)
-
-    def _create_tcb(self, key: FlowKey, packet: Packet, ctx: PathContext) -> None:
-        miss = self.rng.random() < self.profile.miss_prob
-        can_reassemble = not (self.rng.random() < self.profile.reassembly_fail_prob)
-        tcb = FlowTCB(packet, miss=miss, can_reassemble=can_reassemble)
-        expiry = self.residual.get((packet.dst, packet.dport))
-        if expiry is not None and ctx.now < expiry:
-            tcb.residual_kill = True
-        if self.max_flows is not None and key not in self.flows:
-            while len(self.flows) >= self.max_flows:
-                oldest = next(iter(self.flows))
-                del self.flows[oldest]
-                self.evictions += 1
-        self.flows[key] = tcb
-
-    # ------------------------------------------------------------------
-    # Server-direction processing (anomaly events, resync capture)
-
-    def _observe_server(self, tcb: FlowTCB, packet: Packet, ctx: PathContext) -> None:
-        tcp = packet.tcp
-
-        # Resync capture on a server SYN+ACK (rule 1's first option): the
-        # box trusts the SYN+ACK's ack number as the client's next sequence
-        # number — Strategy 6 hands it a corrupted one.
-        if (
-            tcb.mode == MODE_RESYNC
-            and tcb.resync_target == RESYNC_ON_SYNACK_OR_CLIENT_ACK
-            and tcp.is_synack
-        ):
-            tcb.client_next = tcp.ack
-            tcb.server_next = (tcp.seq + 1) % _MOD
-            tcb.mode = MODE_TRACKING
-            return
-
-        event = self._classify_server_event(tcb, packet)
-        if event is None:
-            self._track_server(tcb, packet)
-            return
-        fired = self._draw(event, tcb)
-        tcb.anomalies.append(event)
-        if fired and tcb.mode == MODE_TRACKING:
-            tcb.mode = MODE_RESYNC
-            tcb.resync_target = RESYNC_TARGETS[event]
-            _RESYNC_EVENTS.inc(protocol=self.profile.protocol, event=event)
-
-    def _classify_server_event(self, tcb: FlowTCB, packet: Packet) -> Optional[str]:
-        tcp = packet.tcp
-        if tcp.is_rst:
-            return EVENT_RST
-        if not tcb.in_handshake:
-            # Once the client has sent data, ordinary server responses are
-            # normal traffic, not handshake anomalies.
-            return None
-        if tcp.is_synack:
-            if tcp.load:
-                return EVENT_SYNACK_PAYLOAD
-            expected_ack = (tcb.client_isn + 1) % _MOD
-            if seq_delta(tcp.ack, expected_ack) != 0:
-                return EVENT_CORRUPT_ACK
-            return None
-        if tcp.is_syn:
-            return EVENT_PAYLOAD_SYN if tcp.load else EVENT_SYN
-        if tcp.load:
-            return EVENT_PAYLOAD_OTHER
-        return None
-
-    def _draw(self, event: str, tcb: FlowTCB) -> bool:
-        probs = [self.profile.event_probs.get(event, 0.0)]
-        probs.extend(
-            self.profile.combo_probs.get((prior, event), 0.0)
-            for prior in tcb.anomalies
-        )
-        return any(p > 0 and self.rng.random() < p for p in probs)
-
-    def _track_server(self, tcb: FlowTCB, packet: Packet) -> None:
-        tcp = packet.tcp
-        if tcp.is_synack:
-            tcb.server_next = (tcp.seq + 1) % _MOD
-            return
-        if tcp.load and seq_delta(tcp.seq, tcb.server_next) == 0:
-            tcb.server_next = (tcb.server_next + len(tcp.load)) % _MOD
-        if tcp.is_fin:
-            tcb.server_next = (tcb.server_next + 1) % _MOD
-
-    # ------------------------------------------------------------------
-    # Client-direction processing (resync capture, teardown, DPI)
-
-    def _observe_client(self, tcb: FlowTCB, packet: Packet, ctx: PathContext) -> None:
-        tcp = packet.tcp
-
-        if tcb.mode == MODE_RESYNC:
-            qualifies = tcb.resync_target == RESYNC_ON_CLIENT or (
-                tcb.resync_target == RESYNC_ON_SYNACK_OR_CLIENT_ACK and tcp.is_ack
-            )
-            if not qualifies:
-                return
-            # The resynchronization bug: the box takes the packet's sequence
-            # number at face value, assuming any handshake increment already
-            # happened. A simultaneous-open SYN+ACK (seq == ISN) or an
-            # induced RST (seq == the corrupted ack) desynchronizes it.
-            tcb.client_next = tcp.seq
-            tcb.mode = MODE_TRACKING
-            if tcp.is_rst:
-                # The box synchronized onto this RST (Strategy 7's probe
-                # confirms this); it does not also treat it as a teardown.
-                return
-            # Fall through: the capture packet itself is inspected below.
-
-        if tcp.is_rst:
-            if 0 <= seq_delta(tcp.seq, tcb.client_next) < _WINDOW:
-                # Valid client RST: the box deletes the TCB and ignores the
-                # flow from here on (the classic client-side teardown).
-                tcb.mode = MODE_IGNORED
-            return
-
-        if tcb.residual_kill and tcp.is_ack:
-            self._censor(tcb, packet, ctx, reason="residual censorship")
-            return
-
-        if tcp.is_ack:
-            # A client packet with ACK set completes the handshake from the
-            # box's perspective; later server payloads are normal traffic.
-            tcb.in_handshake = False
-        if not tcp.load:
-            return
-        if seq_delta(tcp.seq, tcb.client_next) != 0:
-            return  # strict sequence matching: desynced data is invisible
-        tcb.client_next = (tcb.client_next + len(tcp.load)) % _MOD
-        if tcb.can_reassemble:
-            tcb.buffer.extend(tcp.load)
-            verdict = self.matcher(bytes(tcb.buffer), self.keywords)
-        else:
-            verdict = self.matcher(bytes(tcp.load), self.keywords)
-        if verdict is True and not tcb.miss:
-            self._censor(tcb, packet, ctx, reason=f"{self.profile.protocol} keyword")
-
-    # ------------------------------------------------------------------
-
-    def _censor(self, tcb: FlowTCB, packet: Packet, ctx: PathContext, reason: str) -> None:
-        self.censor_count += 1
-        self.censor.record_censorship(ctx, packet, reason)
-        self.censor.inject_rst_pair(
-            ctx,
-            client_ip=tcb.client_ip,
-            client_port=tcb.client_port,
-            server_ip=tcb.server_ip,
-            server_port=tcb.server_port,
-            seq_to_client=tcb.server_next,
-            seq_to_server=tcb.client_next,
-            ack_to_client=tcb.client_next,
-            ack_to_server=tcb.server_next,
-        )
-        tcb.mode = MODE_IGNORED
-        if self.profile.residual_duration > 0:
-            self.residual[(tcb.server_ip, tcb.server_port)] = (
-                ctx.now + self.profile.residual_duration
-            )
-            _RESIDUAL_TIMERS.inc(protocol=self.profile.protocol)
+    @property
+    def evictions(self) -> int:
+        """Flows evicted by the bounded flow table (shared by all boxes)."""
+        return self._gfw.evictions

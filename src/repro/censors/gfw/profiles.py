@@ -31,6 +31,7 @@ these profiles with unmodified client TCP stacks.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Dict, Tuple
 
 __all__ = [
@@ -93,6 +94,21 @@ class BoxProfile:
     combo_probs: Dict[Tuple[str, str], float] = field(default_factory=dict)
     reassembly_fail_prob: float = 0.0
     residual_duration: float = 0.0
+
+    @cached_property
+    def resync_tables(self) -> Tuple[Dict[str, float], Dict[str, Dict[str, float]]]:
+        """``(event -> p, event -> {prior event -> p})`` for resync draws.
+
+        Only positive probabilities are kept: a draw skips a zero
+        probability without consuming randomness. Computed once per
+        profile (profiles are never mutated).
+        """
+        event_probs = {event: p for event, p in self.event_probs.items() if p > 0}
+        combo_probs: Dict[str, Dict[str, float]] = {}
+        for (prior, event), p in self.combo_probs.items():
+            if p > 0:
+                combo_probs.setdefault(event, {})[prior] = p
+        return event_probs, combo_probs
 
 
 #: The five per-protocol boxes of the GFW, calibrated to Table 2.

@@ -2,8 +2,7 @@
 
 import random
 
-from repro.censors import CHINA_KEYWORDS, Censor, match_http
-from repro.censors.gfw.box import ProtocolBox
+from repro.censors import CHINA_KEYWORDS, GreatFirewall
 from repro.censors.gfw.profiles import BoxProfile
 from repro.packets import make_tcp_packet
 
@@ -25,62 +24,63 @@ class FakeCtx:
 
 def make_box(max_flows=None):
     profile = BoxProfile(protocol="http", miss_prob=0.0)
-    box = ProtocolBox(
-        profile, CHINA_KEYWORDS, match_http, random.Random(1), Censor(),
-        max_flows=max_flows,
+    gfw = GreatFirewall(
+        rng=random.Random(1), keywords=CHINA_KEYWORDS,
+        protocols=("http",), profiles={"http": profile},
+        max_flows_per_box=max_flows,
     )
-    return box, FakeCtx()
+    return gfw, FakeCtx()
 
 
-def open_flow(box, ctx, client_port, seq=1000):
+def open_flow(gfw, ctx, client_port, seq=1000):
     syn = make_tcp_packet("10.1.0.2", "192.0.2.10", client_port, 80, flags="S", seq=seq)
-    box.observe(syn, "c2s", ctx)
+    gfw.process(syn, "c2s", ctx)
     synack = make_tcp_packet("192.0.2.10", "10.1.0.2", 80, client_port, flags="SA",
                              seq=5000, ack=seq + 1)
-    box.observe(synack, "s2c", ctx)
+    gfw.process(synack, "s2c", ctx)
     ack = make_tcp_packet("10.1.0.2", "192.0.2.10", client_port, 80, flags="A",
                           seq=seq + 1, ack=5001)
-    box.observe(ack, "c2s", ctx)
+    gfw.process(ack, "c2s", ctx)
 
 
 class TestCapacity:
     def test_unbounded_by_default(self):
-        box, ctx = make_box()
+        gfw, ctx = make_box()
         for port in range(40000, 40100):
-            open_flow(box, ctx, port)
-        assert len(box.flows) == 100
-        assert box.evictions == 0
+            open_flow(gfw, ctx, port)
+        assert len(gfw.box("http").flows) == 100
+        assert gfw.box("http").evictions == 0
 
     def test_oldest_flow_evicted(self):
-        box, ctx = make_box(max_flows=10)
+        gfw, ctx = make_box(max_flows=10)
         for port in range(40000, 40020):
-            open_flow(box, ctx, port)
-        assert len(box.flows) == 10
-        assert box.evictions == 10
+            open_flow(gfw, ctx, port)
+        assert len(gfw.box("http").flows) == 10
+        assert gfw.box("http").evictions == 10
 
     def test_state_exhaustion_enables_evasion(self):
         """Flooding the box with SYNs evicts a real flow's TCB; the
         subsequent forbidden request sails through (the box fails open)."""
-        box, ctx = make_box(max_flows=8)
-        open_flow(box, ctx, 41000, seq=9000)
+        gfw, ctx = make_box(max_flows=8)
+        open_flow(gfw, ctx, 41000, seq=9000)
         # SYN flood from other "connections".
         for port in range(42000, 42020):
             syn = make_tcp_packet("10.1.0.9", "192.0.2.10", port, 80, flags="S", seq=1)
-            box.observe(syn, "c2s", ctx)
+            gfw.process(syn, "c2s", ctx)
         # The original flow's TCB is gone; DPI never fires.
         data = make_tcp_packet(
             "10.1.0.2", "192.0.2.10", 41000, 80, flags="PA",
             seq=9001, ack=5001, load=FORBIDDEN,
         )
-        box.observe(data, "c2s", ctx)
+        gfw.process(data, "c2s", ctx)
         assert ctx.injected == []
 
     def test_without_flood_same_request_is_censored(self):
-        box, ctx = make_box(max_flows=8)
-        open_flow(box, ctx, 41000, seq=9000)
+        gfw, ctx = make_box(max_flows=8)
+        open_flow(gfw, ctx, 41000, seq=9000)
         data = make_tcp_packet(
             "10.1.0.2", "192.0.2.10", 41000, 80, flags="PA",
             seq=9001, ack=5001, load=FORBIDDEN,
         )
-        box.observe(data, "c2s", ctx)
+        gfw.process(data, "c2s", ctx)
         assert len(ctx.injected) == 2

@@ -10,8 +10,7 @@ import random
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.censors import CHINA_KEYWORDS, Censor, match_http
-from repro.censors.gfw.box import ProtocolBox
+from repro.censors import CHINA_KEYWORDS, GreatFirewall
 from repro.censors.gfw.profiles import CHINA_PROFILES
 from repro.packets import bits_to_flags, make_tcp_packet
 
@@ -44,12 +43,11 @@ packet_strategy = st.tuples(
 @given(st.lists(packet_strategy, min_size=1, max_size=25), st.integers(0, 10_000))
 @settings(max_examples=120, deadline=None)
 def test_box_never_crashes_on_arbitrary_sequences(packets, seed):
-    box = ProtocolBox(
-        CHINA_PROFILES["http"],
-        CHINA_KEYWORDS,
-        match_http,
-        random.Random(seed),
-        Censor(),
+    gfw = GreatFirewall(
+        rng=random.Random(seed),
+        keywords=CHINA_KEYWORDS,
+        protocols=("http",),
+        profiles={"http": CHINA_PROFILES["http"]},
     )
     ctx = FuzzCtx()
     for from_client, flag_bits, seq, ack, load in packets:
@@ -58,15 +56,15 @@ def test_box_never_crashes_on_arbitrary_sequences(packets, seed):
                 CLIENT, SERVER, 41000, 80,
                 flags=bits_to_flags(flag_bits), seq=seq, ack=ack, load=load,
             )
-            box.observe(packet, "c2s", ctx)
+            gfw.process(packet, "c2s", ctx)
         else:
             packet = make_tcp_packet(
                 SERVER, CLIENT, 80, 41000,
                 flags=bits_to_flags(flag_bits), seq=seq, ack=ack, load=load,
             )
-            box.observe(packet, "s2c", ctx)
+            gfw.process(packet, "s2c", ctx)
     # One 4-tuple in play: at most one TCB, and injections come in pairs.
-    assert len(box.flows) <= 1
+    assert len(gfw.box("http").flows) <= 1
     assert ctx.injections % 2 == 0
 
 

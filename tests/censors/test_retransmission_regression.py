@@ -10,8 +10,8 @@ re-recording — but nothing pinned it. These tests do.
 
 import random
 
-from repro.censors import CHINA_KEYWORDS, Censor, IranCensor, match_http
-from repro.censors.gfw.box import MODE_IGNORED, MODE_RESYNC, MODE_TRACKING, ProtocolBox
+from repro.censors import CHINA_KEYWORDS, GreatFirewall, IranCensor
+from repro.censors.gfw.box import MODE_IGNORED, MODE_RESYNC, MODE_TRACKING
 from repro.censors.gfw.profiles import EVENT_RST, BoxProfile
 from repro.eval.runner import Trial
 from repro.packets import make_tcp_packet
@@ -45,9 +45,11 @@ def make_box(**profile_overrides):
         combo_probs=profile_overrides.pop("combo_probs", {}),
         **profile_overrides,
     )
-    censor = Censor()
-    box = ProtocolBox(profile, CHINA_KEYWORDS, match_http, random.Random(1), censor)
-    return box, FakeCtx()
+    gfw = GreatFirewall(
+        rng=random.Random(1), keywords=CHINA_KEYWORDS,
+        protocols=("http",), profiles={"http": profile},
+    )
+    return gfw, FakeCtx()
 
 
 def c2s(flags="A", seq=1001, ack=5001, load=b"", sport=CPORT, dport=80):
@@ -58,63 +60,63 @@ def s2c(flags="SA", seq=5000, ack=1001, load=b""):
     return make_tcp_packet(SERVER, CLIENT, 80, CPORT, flags=flags, seq=seq, ack=ack, load=load)
 
 
-def handshake(box, ctx):
-    box.observe(c2s("S", seq=1000, ack=0), "c2s", ctx)
-    box.observe(s2c("SA"), "s2c", ctx)
-    box.observe(c2s("A"), "c2s", ctx)
-    return list(box.flows.values())[0]
+def handshake(gfw, ctx):
+    gfw.process(c2s("S", seq=1000, ack=0), "c2s", ctx)
+    gfw.process(s2c("SA"), "s2c", ctx)
+    gfw.process(c2s("A"), "c2s", ctx)
+    return list(gfw.box("http").flows.values())[0]
 
 
 class TestGFWRetransmittedTrigger:
     def test_trigger_retransmission_censors_once(self):
-        box, ctx = make_box()
-        tcb = handshake(box, ctx)
+        gfw, ctx = make_box()
+        tcb = handshake(gfw, ctx)
         trigger = c2s("PA", load=FORBIDDEN_GFW)
-        box.observe(trigger, "c2s", ctx)
-        assert box.censor_count == 1
+        gfw.process(trigger, "c2s", ctx)
+        assert gfw.box("http").censor_count == 1
         assert tcb.mode == MODE_IGNORED
         injected_before = len(ctx.injected)
         # An unmodified client never saw the censor's RSTs in time and
         # retransmits the request byte-for-byte.
-        box.observe(c2s("PA", load=FORBIDDEN_GFW), "c2s", ctx)
-        assert box.censor_count == 1
+        gfw.process(c2s("PA", load=FORBIDDEN_GFW), "c2s", ctx)
+        assert gfw.box("http").censor_count == 1
         assert len(ctx.injected) == injected_before
 
     def test_uncensored_retransmission_stays_invisible(self):
         """A benign data packet retransmitted after its bytes were
         tracked is desynced from client_next and never re-inspected —
         retransmission cannot make previously-clean bytes trigger."""
-        box, ctx = make_box(reassembly_fail_prob=1.0)
-        tcb = handshake(box, ctx)
+        gfw, ctx = make_box(reassembly_fail_prob=1.0)
+        tcb = handshake(gfw, ctx)
         benign = b"GET /ok HTTP/1.1\r\nHost: x\r\n\r\n"
-        box.observe(c2s("PA", load=benign), "c2s", ctx)
+        gfw.process(c2s("PA", load=benign), "c2s", ctx)
         tracked = tcb.client_next
-        box.observe(c2s("PA", load=benign), "c2s", ctx)  # dup: seq < client_next
+        gfw.process(c2s("PA", load=benign), "c2s", ctx)  # dup: seq < client_next
         assert tcb.client_next == tracked
-        assert box.censor_count == 0
+        assert gfw.box("http").censor_count == 0
 
     def test_retransmitted_server_rst_does_not_reenter_resync(self):
         """After resync capture on a client packet, a *duplicate* of the
         server RST that originally triggered resync must not flip the box
         back into resync against the now-tracked flow."""
-        box, ctx = make_box(event_probs={EVENT_RST: 1.0})
-        tcb = handshake(box, ctx)
+        gfw, ctx = make_box(event_probs={EVENT_RST: 1.0})
+        tcb = handshake(gfw, ctx)
         rst = s2c("R", seq=5001, ack=0)
-        box.observe(rst, "s2c", ctx)
+        gfw.process(rst, "s2c", ctx)
         assert tcb.mode == MODE_RESYNC
         # Client data captures the resync and is inspected (benign here).
-        box.observe(c2s("PA", load=b"GET /ok HTTP/1.1\r\nHost: x\r\n\r\n"), "c2s", ctx)
+        gfw.process(c2s("PA", load=b"GET /ok HTTP/1.1\r\nHost: x\r\n\r\n"), "c2s", ctx)
         assert tcb.mode == MODE_TRACKING
         synced = tcb.client_next
         # The RST retransmission fires the anomaly again -> resync again,
         # but the next client packet re-captures at the same sequence:
         # the tracked position cannot drift from duplicate anomalies.
-        box.observe(rst.copy(), "s2c", ctx)
+        gfw.process(rst.copy(), "s2c", ctx)
         next_seq = synced
-        box.observe(c2s("A", seq=next_seq, ack=5001), "c2s", ctx)
+        gfw.process(c2s("A", seq=next_seq, ack=5001), "c2s", ctx)
         assert tcb.mode == MODE_TRACKING
         assert tcb.client_next == synced
-        assert box.censor_count == 0
+        assert gfw.box("http").censor_count == 0
 
 
 class TestIranBlackholeRetransmission:

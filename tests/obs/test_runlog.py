@@ -101,12 +101,12 @@ class TestFlightRecorder:
 
     def test_dump_on_trial_exception(self, monkeypatch):
         """A censor blowing up mid-trial flight-dumps the trace tail."""
-        from repro.censors.gfw.box import ProtocolBox
+        from repro.censors.gfw import GreatFirewall
 
-        def explode(self, packet, direction, ctx, key=None):
+        def explode(self, key, packet, ctx):
             raise RuntimeError("censor crashed")
 
-        monkeypatch.setattr(ProtocolBox, "observe", explode)
+        monkeypatch.setattr(GreatFirewall, "_open_flow", explode)
         log = RunLog()
         spec = TrialSpec.build("china", "http", seed=1)
         with activate(log):
@@ -121,12 +121,12 @@ class TestFlightRecorder:
         assert record["events"]  # the trace tail made it into the dump
 
     def test_no_dump_without_active_runlog(self, monkeypatch):
-        from repro.censors.gfw.box import ProtocolBox
+        from repro.censors.gfw import GreatFirewall
 
-        def explode(self, packet, direction, ctx, key=None):
+        def explode(self, key, packet, ctx):
             raise RuntimeError("censor crashed")
 
-        monkeypatch.setattr(ProtocolBox, "observe", explode)
+        monkeypatch.setattr(GreatFirewall, "_open_flow", explode)
         assert active_runlog() is None
         with pytest.raises(RuntimeError):
             TrialSpec.build("china", "http", seed=1).run()

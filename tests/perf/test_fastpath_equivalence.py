@@ -14,7 +14,7 @@ from repro import fastpath
 from repro.core import SERVER_STRATEGIES, deployed_strategy
 from repro.runtime import TrialSpec, trial_seed
 
-COUNTRIES = ["china", "india", "iran", "kazakhstan", None]
+COUNTRIES = ["china", "india", "iran", "kazakhstan", "southkorea", "russia", None]
 PROTOCOLS = ["dns", "ftp", "http", "https", "smtp"]
 PAIRS = [(c, p) for c in COUNTRIES for p in PROTOCOLS]
 
@@ -86,7 +86,7 @@ class TestTraceEquivalence:
     @pytest.mark.parametrize("country,protocol", [
         ("china", "http"), ("china", "smtp"), ("china", "dns"),
         ("iran", "https"), ("india", "http"), ("kazakhstan", "https"),
-        (None, "http"),
+        ("southkorea", "https"), ("russia", "https"), (None, "http"),
     ])
     def test_trace_digest_identical(self, country, protocol):
         spec = TrialSpec.build(country, protocol, seed=trial_seed(19, 0))
