@@ -59,6 +59,9 @@ __all__ = [
     "default_port",
 ]
 
+#: Outcome of a trial whose scheduler stopped at its event limit.
+OUTCOME_EVENT_LIMIT = "event_limit"
+
 CLIENT_IP = "10.1.0.2"
 SERVER_IP = "192.0.2.10"
 
@@ -176,7 +179,9 @@ class TrialResult:
     """Outcome of one trial.
 
     Attributes:
-        outcome: Client application outcome (``"success"`` etc.).
+        outcome: Client application outcome (``"success"`` etc.), or
+            ``"event_limit"`` when the scheduler's event limit cut the
+            run short (never a success).
         succeeded: The paper's evasion criterion was met.
         censored: The censor took at least one censorship action.
         detail: Free-form outcome detail from the client app.
@@ -333,13 +338,21 @@ class Trial:
     def run(self) -> TrialResult:
         """Execute the trial to quiescence and report the outcome."""
         self.client_app.start()
-        self.network.run(until=self.max_time)
-        outcome = self.client_app.outcome or "timeout"
+        executed = self.network.run(until=self.max_time)
+        if self.scheduler.exhausted:
+            # A half-run trial must not be scored as if it had finished.
+            outcome = OUTCOME_EVENT_LIMIT
+            succeeded = False
+            detail = f"event limit reached after {executed} events"
+        else:
+            outcome = self.client_app.outcome or "timeout"
+            succeeded = self.client_app.succeeded
+            detail = getattr(self.client_app, "detail", "")
         return TrialResult(
             outcome=outcome,
-            succeeded=self.client_app.succeeded,
+            succeeded=succeeded,
             censored=self.censor.censorship_events > 0 if self.censor else False,
-            detail=getattr(self.client_app, "detail", ""),
+            detail=detail,
             trace=self.network.trace,
         )
 

@@ -12,9 +12,10 @@ Public surface:
 """
 
 from . import states
-from .endpoint import DEFAULT_RTO, MAX_RETRANSMITS, TCPEndpoint, seq_delta
+from .endpoint import TCPEndpoint, seq_delta
 from .host import Host, PacketFilter
 from .personality import (
+    DEFAULT_RTO,
     PERSONALITIES,
     SERVER_PERSONALITY,
     OSPersonality,
@@ -25,7 +26,6 @@ from .personality import (
 __all__ = [
     "DEFAULT_RTO",
     "Host",
-    "MAX_RETRANSMITS",
     "OSPersonality",
     "PERSONALITIES",
     "PacketFilter",

@@ -2,9 +2,10 @@
 
 A :class:`Host` owns TCP endpoints, validates checksums on ingress (which
 is why checksum-corrupted "insertion packets" are seen by censors but not
-by end hosts), and passes traffic through pluggable packet *filters* — the
-hook point where a Geneva strategy engine (server- or client-side) or an
-experiment instrumentation shim is installed.
+by end hosts; only a layer carrying a checksum override can be corrupt),
+and passes traffic through pluggable packet *filters* — the hook point
+where a Geneva strategy engine (server- or client-side) or an experiment
+instrumentation shim is installed.
 """
 
 from __future__ import annotations
@@ -164,20 +165,24 @@ class Host:
 
     def transmit(self, packet: Packet) -> None:
         """Send a stack-originated packet through the outbound filters."""
-        if self.network is None:
+        network = self.network
+        if network is None:
             raise RuntimeError(f"host {self.name} is not attached to a network")
-        packets = [packet]
-        for flt in self.outbound_filters:
-            next_packets: List[Packet] = []
-            for item in packets:
-                next_packets.extend(flt(item))
-            packets = next_packets
-        for item in packets:
-            self.network.send_from(self, item)
+        if not self.outbound_filters:
+            network.send_from(self, packet)
+            return
+        for item in _apply_filters(self.outbound_filters, packet):
+            network.send_from(self, item)
 
     def receive(self, packet: Packet) -> None:
         """Handle a packet delivered off the wire."""
-        if not packet.checksums_ok():
+        transport = packet.tcp if packet.tcp is not None else packet.udp
+        # A wire checksum can only be wrong through an override, so the
+        # full validation runs only for packets that carry one.
+        if (
+            packet.ip.chksum_override is not None
+            or transport.chksum_override is not None
+        ) and not packet.checksums_ok():
             # Real stacks silently discard corrupted segments; censors that
             # skip validation still saw this packet on the path.
             if self.network is not None:
@@ -185,28 +190,28 @@ class Host:
                     self.scheduler.now, "drop", self.name, packet, "bad checksum"
                 )
             return
-        packets = [packet]
-        for flt in self.inbound_filters:
-            next_packets: List[Packet] = []
-            for item in packets:
-                next_packets.extend(flt(item))
-            packets = next_packets
-        for item in packets:
+        if not self.inbound_filters:
+            self._demux(packet)
+            return
+        for item in _apply_filters(self.inbound_filters, packet):
             self._demux(item)
 
     def _demux(self, packet: Packet) -> None:
-        if packet.is_udp:
-            handler = self._udp_binds.get(packet.dport)
+        tcp = packet.tcp
+        if tcp is None:
+            handler = self._udp_binds.get(packet.udp.dport)
             if handler is not None:
                 handler(packet)
             return
-        key = (packet.src, packet.sport, packet.dport)
+        src = packet.ip.src
+        dport = tcp.dport
+        key = (src, tcp.sport, dport)
         endpoint = self._endpoints.get(key)
         if endpoint is not None:
             endpoint.handle_segment(packet)
             return
-        listener = self._listeners.get(packet.dport)
-        if listener is not None and packet.tcp.is_syn:
+        listener = self._listeners.get(dport)
+        if listener is not None and tcp.is_syn:
             rng = (
                 self.flow_rng_provider(key)
                 if self.flow_rng_provider is not None
@@ -214,9 +219,9 @@ class Host:
             )
             endpoint = TCPEndpoint(
                 host=self,
-                local_port=packet.dport,
-                remote_ip=packet.src,
-                remote_port=packet.sport,
+                local_port=dport,
+                remote_ip=src,
+                remote_port=tcp.sport,
                 personality=self.personality,
                 rng=rng,
             )
@@ -230,3 +235,14 @@ class Host:
 
     def __repr__(self) -> str:
         return f"Host({self.name} {self.ip})"
+
+
+def _apply_filters(filters: List[PacketFilter], packet: Packet) -> List[Packet]:
+    """Run ``packet`` through ``filters`` in order; the packets that remain."""
+    packets = [packet]
+    for flt in filters:
+        next_packets: List[Packet] = []
+        for item in packets:
+            next_packets.extend(flt(item))
+        packets = next_packets
+    return packets

@@ -12,7 +12,16 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List
 
-__all__ = ["OSPersonality", "PERSONALITIES", "personality", "all_personality_names"]
+__all__ = [
+    "DEFAULT_RTO",
+    "OSPersonality",
+    "PERSONALITIES",
+    "personality",
+    "all_personality_names",
+]
+
+#: Base retransmission timeout (virtual seconds) of every personality.
+DEFAULT_RTO = 0.4
 
 
 @dataclass(frozen=True)
@@ -60,7 +69,7 @@ class OSPersonality:
     syn_retries: int = 6
     synack_retries: int = 5
     data_retries: int = 6
-    rto: float = 0.4
+    rto: float = DEFAULT_RTO
 
 
 def _linux(name: str) -> OSPersonality:
