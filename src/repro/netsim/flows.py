@@ -31,6 +31,7 @@ per-connection path.
 from __future__ import annotations
 
 import heapq
+import math
 from typing import Any, Callable, Dict, Optional
 
 from ..packets import Packet
@@ -202,6 +203,9 @@ class FlowScheduler(Scheduler):
                     _pool._ACTIVE = previous_arena
                 self._check_quiescent(flow)
             executed += 1
+        self.exhausted = executed >= max_events and self._event_due(
+            until if until is not None else math.inf
+        )
         if until is not None and (not queue or queue[0][0] > until):
             self.now = max(self.now, until)
         return executed
