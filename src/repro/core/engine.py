@@ -40,11 +40,19 @@ class StrategyEngine:
     """
 
     def __init__(self, strategy: Strategy, rng: Optional[random.Random] = None) -> None:
-        # Stateful strategies (e.g. ``stall``) mutate as they apply; take
-        # a private copy so instances shared by the runtime's parse cache
-        # are never written to, and every trial starts from fresh state.
-        self.strategy = strategy.copy() if strategy.is_stateful() else strategy
+        self._template = strategy
+        self._stateful = strategy.is_stateful()
         self.rng = rng if rng is not None else random.Random(0)
+        self.reset()
+
+    def reset(self) -> None:
+        """Start a trial: fresh strategy state and a zeroed counter.
+
+        Stateful strategies (e.g. ``stall``) mutate as they apply; each
+        trial takes a private copy so instances shared by the runtime's
+        parse cache are never written to.
+        """
+        self.strategy = self._template.copy() if self._stateful else self._template
         self.packets_intercepted = 0
 
     def _timed_apply(self, apply, packet: Packet) -> List[Packet]:

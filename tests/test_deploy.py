@@ -14,6 +14,14 @@ from repro.deploy import (
 )
 from repro.eval import run_trial
 from repro.eval.runner import Trial
+from repro.runtime import TrialExecutor, TrialSpec, trial_seed
+from repro.runtime import spec as spec_module
+
+
+def _fresh_outcome(spec):
+    """``spec``'s outcome from a freshly parsed strategy instance."""
+    spec_module._PARSE_CACHE.clear()
+    return spec.run().outcome
 
 
 class TestCIDR:
@@ -101,6 +109,35 @@ class TestMidPathDeployment:
         trial.run()
         assert isinstance(trial.server_engine, StrategyMiddlebox)
         assert trial.server_engine.packets_rewritten >= 1
+
+    def test_stateful_strategy_state_is_per_trial(self):
+        """A mid-path ``stall`` counter must not stay spent across trials.
+
+        The runtime's parse cache shares one strategy instance between
+        every trial of a worker, so a proxy that applied it in place
+        would stall only the first trial it ever ran.
+        """
+        spec = TrialSpec.build(
+            "southkorea", "https", deployed_strategy(14), seed=11, strategy_at_hop=5
+        )
+        expected = _fresh_outcome(spec)
+        assert [spec.run().outcome for _ in range(3)] == [expected] * 3
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_stateful_strategy_batch_matches_fresh_runs(self, workers):
+        specs = [
+            TrialSpec.build(
+                country, "https", deployed_strategy(number),
+                seed=trial_seed(31, index), strategy_at_hop=5,
+            )
+            for country in ("southkorea", "russia")
+            for number in (14, 15)
+            for index in range(10)
+        ]
+        expected = [_fresh_outcome(spec) for spec in specs]
+        with TrialExecutor(workers=workers) as executor:
+            outcomes = [result.outcome for result in executor.run_batch(specs)]
+        assert outcomes == expected
 
     def test_client_traffic_untouched(self):
         box = StrategyMiddlebox(deployed_strategy(11), random.Random(1))
