@@ -57,6 +57,11 @@ def client_oriented_key(client_ip: str, client_port: int, server_ip: str, server
 class Censor(Middlebox):
     """Base class for censor middleboxes.
 
+    Per-trial state is initialised only in :meth:`reset`, which
+    ``__init__`` calls: a subclass extends ``reset`` (calling ``super``)
+    for every field a trial changes, so a reused censor is always
+    indistinguishable from a fresh one.
+
     Attributes:
         censorship_events: Count of censorship actions taken this trial.
     """
@@ -64,6 +69,10 @@ class Censor(Middlebox):
     name = "censor"
 
     def __init__(self) -> None:
+        self.reset()
+
+    def reset(self) -> None:
+        """Clear per-trial state (keeps calibration and any RNG stream)."""
         self.censorship_events = 0
 
     # ------------------------------------------------------------------

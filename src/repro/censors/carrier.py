@@ -33,7 +33,7 @@ class CarrierNATBox(Middlebox):
         self.name = name
         self.drop_bare_server_syn = drop_bare_server_syn
         self.drop_any_server_syn = drop_any_server_syn
-        self.dropped = 0
+        self.reset()
 
     def process(self, packet: Packet, direction: str, ctx: PathContext) -> List[Packet]:
         if packet.tcp is None:

@@ -126,6 +126,10 @@ class ProtocolBox:
         self.index = index
         self._gfw = gfw
         self.event_probs, self.combo_probs = profile.resync_tables
+        self.reset()
+
+    def reset(self) -> None:
+        """Clear this box's per-trial state (its TCBs live in the GFW's table)."""
         self.residual: Dict[Tuple[str, int], float] = {}
         self.censor_count = 0
 

@@ -108,7 +108,6 @@ class GreatFirewall(Censor):
         validate_checksums: bool = False,
         max_flows_per_box: Optional[int] = None,
     ) -> None:
-        super().__init__()
         self.validate_checksums = validate_checksums
         self.max_flows_per_box = max_flows_per_box
         self.rng = rng if rng is not None else random.Random(0)
@@ -123,10 +122,9 @@ class GreatFirewall(Censor):
                 gfw=self,
                 index=len(self.boxes),
             )
-        self.flows: Dict[FlowKey, FlowRecord] = {}
-        self.evictions = 0
         #: Forged-response injection for DNS-over-UDP (§2.1 background).
         self.dns_udp = DNSUDPInjector(keywords, censor=self, rng=self.rng)
+        super().__init__()  # resets per-trial state, now that the boxes exist
 
     def box(self, protocol: str) -> ProtocolBox:
         """Access one protocol box (for assertions in experiments)."""
@@ -134,13 +132,12 @@ class GreatFirewall(Censor):
 
     def reset(self) -> None:
         """Clear all per-trial state (keeps calibration and RNG stream)."""
-        self.flows.clear()
+        super().reset()
+        self.flows: Dict[FlowKey, FlowRecord] = {}
         self.evictions = 0
         for box in self.boxes.values():
-            box.residual.clear()
-            box.censor_count = 0
-        self.dns_udp.injections = 0
-        self.censorship_events = 0
+            box.reset()
+        self.dns_udp.reset()
 
     # ------------------------------------------------------------------
 

@@ -56,6 +56,9 @@ class IranCensor(Censor):
         # Adaptive knob (repro.censors.adaptive): payload bytes the DPI
         # examines per packet (None = unbounded, the calibrated model).
         self.inspect_depth = inspect_depth
+
+    def reset(self) -> None:
+        super().reset()
         self.blackholed: Dict[FlowKey, float] = {}
 
     def process(self, packet: Packet, direction: str, ctx: PathContext) -> List[Packet]:

@@ -90,6 +90,9 @@ class KazakhstanCensor(Censor):
         self.mitm_duration = mitm_duration
         self.payload_ignore_threshold = payload_ignore_threshold
         self.inspect_depth = inspect_depth
+
+    def reset(self) -> None:
+        super().reset()
         self.flows: Dict[FlowKey, _KZFlow] = {}
 
     # ------------------------------------------------------------------

@@ -169,6 +169,9 @@ class SNICensor(Censor):
         self.blackhole_duration = blackhole_duration
         if name is not None:
             self.name = name
+
+    def reset(self) -> None:
+        super().reset()
         self.flows: Dict[FlowKey, _FlowState] = {}
         self.ignored: Set[FlowKey] = set()
         self.blackholed: Dict[FlowKey, float] = {}

@@ -92,11 +92,11 @@ class TransparentTap(Middlebox):
     name = "tap"
 
     def __init__(self) -> None:
-        self.seen: List[Packet] = []
+        self.reset()
 
     def process(self, packet: Packet, direction: str, ctx: PathContext) -> Iterable[Packet]:
         self.seen.append(packet.copy())
         return [packet]
 
     def reset(self) -> None:
-        self.seen.clear()
+        self.seen: List[Packet] = []
