@@ -195,8 +195,19 @@ class TrialResult:
     trace: Optional[Trace] = None
 
 
+def _new_stream() -> random.Random:
+    """An unseeded RNG stream; :meth:`Trial._seed_streams` seeds it."""
+    return random.Random.__new__(random.Random)
+
+
 class Trial:
-    """One fully-assembled evaluation run (build, then :meth:`run`)."""
+    """One fully-assembled evaluation run (build, then :meth:`run`).
+
+    A built trial can be reused: :meth:`rearm` puts it into exactly the
+    state a fresh build with another seed would have, so a batch of
+    trials identical but for their seeds builds one world and re-arms it
+    per seed.
+    """
 
     def __init__(
         self,
@@ -230,6 +241,7 @@ class Trial:
         self.server_ip = server_ip
         self.protocol = protocol
         self.max_time = max_time
+        self.capture_trace = capture_trace
         self.scheduler = Scheduler()
         # Normalize the impairment policy up front; null policies drop to
         # None so the unimpaired path stays literally the pre-impairment
@@ -238,21 +250,11 @@ class Trial:
         if policy is not None and policy.is_null():
             policy = None
         self.impairment = policy
-        net_rng: Optional[random.Random] = None
-        if self.impairment is not None:
-            # The impairment stream is split from the trial seed with a
-            # domain salt (or pinned by an explicit net_seed) rather than
-            # drawn from ``base`` below: consuming ``base`` here would
-            # shift the censor/client/server/strategy streams and change
-            # every existing trace.
-            net_rng = random.Random(
-                net_seed if net_seed is not None else net_stream_seed(seed)
-            )
-        base = random.Random(seed)
-        censor_rng = random.Random(base.randrange(1 << 30))
-        client_rng = random.Random(base.randrange(1 << 30))
-        server_rng = random.Random(base.randrange(1 << 30))
-        strategy_rng = random.Random(base.randrange(1 << 30))
+        self._net_rng = _new_stream() if policy is not None else None
+        self._base_rng = _new_stream()
+        self._streams = (_new_stream(), _new_stream(), _new_stream(), _new_stream())
+        censor_rng, client_rng, server_rng, strategy_rng = self._streams
+        self._seed_streams(seed, net_seed)
 
         self.client_host = Host(
             "client", client_ip, self.scheduler, client_rng, personality(client_os)
@@ -305,35 +307,87 @@ class Trial:
             self.server_host,
             middleboxes,
             impairment=self.impairment,
-            net_rng=net_rng,
-            trace=Trace() if capture_trace else NullTrace(),
+            net_rng=self._net_rng,
+            trace=self._new_trace(),
         )
         self.client_host.attach(self.network)
         self.server_host.attach(self.network)
 
+        # Engines installed on the hosts (a mid-path proxy resets with
+        # the chain instead).
+        host_engines = []
         if server_strategy is not None and not server_strategy.is_noop():
             self.server_engine = install_strategy(
                 self.server_host, server_strategy, strategy_rng
             )
+            host_engines.append(self.server_engine)
         self.client_engine = None
         if client_strategy is not None and not client_strategy.is_noop():
             self.client_engine = install_strategy(
                 self.client_host, client_strategy, strategy_rng
             )
+            host_engines.append(self.client_engine)
+        self._host_engines = tuple(host_engines)
 
-        port = server_port if server_port is not None else default_port(protocol)
-        self.server_app = _SERVER_CLASSES[protocol](self.server_host, port)
-        self.server_app.install()
-
+        self._port = server_port if server_port is not None else default_port(protocol)
         params = workload if workload is not None else (
             censored_workload(country, protocol)
             if country is not None and (country, protocol) in _CENSORED_WORKLOADS
             else benign_workload(protocol)
         )
-        client_cls = _CLIENT_CLASSES[protocol]
         if protocol == "dns":
             params.setdefault("tries", dns_tries)
-        self.client_app = client_cls(self.client_host, server_ip, port, **params)
+        self._client_params = params
+        self._install_apps()
+
+    def rearm(self, seed: int, net_seed: Optional[int] = None) -> None:
+        """Re-arm this built trial for ``seed``.
+
+        Afterwards the trial is in exactly the state
+        ``Trial(..., seed=seed, net_seed=net_seed)`` with the same other
+        arguments would have built, in the same draw order: the streams
+        are reseeded, then the scheduler, both hosts and every box in
+        the chain are reset, a fresh trace is installed, the engines are
+        reset and both apps are rebuilt.
+        """
+        self._seed_streams(seed, net_seed)
+        self.scheduler.reset()
+        self.client_host.reset()
+        self.server_host.reset()
+        for box in self.network.middleboxes:
+            box.reset()
+        self.network.trace = self._new_trace()
+        for engine in self._host_engines:
+            engine.reset()
+        self._install_apps()
+
+    def _seed_streams(self, seed: int, net_seed: Optional[int]) -> None:
+        """Seed every RNG stream from the trial seed, in a fixed order.
+
+        The streams are long-lived objects (hosts, censor, engines and
+        network hold them), so they are reseeded in place. The impairment
+        stream is split from the trial seed with a domain salt (or pinned
+        by an explicit ``net_seed``) rather than drawn from ``base``:
+        consuming ``base`` for it would shift the censor, client, server
+        and strategy streams and change every existing trace.
+        """
+        if self._net_rng is not None:
+            self._net_rng.seed(net_seed if net_seed is not None else net_stream_seed(seed))
+        base = self._base_rng
+        base.seed(seed)
+        for stream in self._streams:
+            stream.seed(base.randrange(1 << 30))
+
+    def _new_trace(self) -> Trace:
+        return Trace() if self.capture_trace else NullTrace()
+
+    def _install_apps(self) -> None:
+        """Build the server app (listening) and the client app (not started)."""
+        self.server_app = _SERVER_CLASSES[self.protocol](self.server_host, self._port)
+        self.server_app.install()
+        self.client_app = _CLIENT_CLASSES[self.protocol](
+            self.client_host, self.server_ip, self._port, **self._client_params
+        )
 
     def run(self) -> TrialResult:
         """Execute the trial to quiescence and report the outcome."""

@@ -37,6 +37,10 @@ class Scheduler:
     """
 
     def __init__(self) -> None:
+        self.reset()
+
+    def reset(self) -> None:
+        """Back to time zero with nothing queued (a reused trial world)."""
         self._queue: List[Tuple[float, int, Optional[Timer], Callable, tuple]] = []
         self._counter = 0
         self.now = 0.0

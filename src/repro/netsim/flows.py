@@ -109,8 +109,8 @@ class FlowScheduler(Scheduler):
     pending count reaches zero its ``on_quiescent`` hook fires.
     """
 
-    def __init__(self) -> None:
-        super().__init__()
+    def reset(self) -> None:
+        super().reset()
         self.current: Optional[FlowHandle] = None
 
     # ------------------------------------------------------------------

@@ -144,15 +144,24 @@ class RunLog:
             cached=bool(cached),
         )
 
-    def record_exception(self, spec, exc: BaseException, trace=None) -> None:
-        """Flight-dump the trace tail around a trial that raised."""
+    def flight_dump(self, reason: str, spec, trace=None, **fields: Any) -> None:
+        """Count an anomaly and dump the trace tail around it.
+
+        Without a trace the flight recorder's ring is dumped instead.
+        """
         self.anomalies += 1
         self.record(
             "flight_dump",
-            reason="trial raised",
-            error=f"{type(exc).__name__}: {exc}",
+            reason=reason,
             spec=spec.spec_hash() if spec is not None else None,
             events=trace_tail(trace) if trace is not None else self.flight.dump(),
+            **fields,
+        )
+
+    def record_exception(self, spec, exc: BaseException, trace=None) -> None:
+        """Flight-dump the trace tail around a trial that raised."""
+        self.flight_dump(
+            "trial raised", spec, trace, error=f"{type(exc).__name__}: {exc}"
         )
 
     def check_golden(self, spec, result, expected_censored: bool, trace=None) -> bool:
@@ -163,15 +172,13 @@ class RunLog:
         """
         if bool(result.censored) == bool(expected_censored):
             return True
-        self.anomalies += 1
-        self.record(
-            "flight_dump",
-            reason="censor verdict disagrees with golden trace",
-            spec=spec.spec_hash() if spec is not None else None,
+        self.flight_dump(
+            "censor verdict disagrees with golden trace",
+            spec,
+            trace,
             expected_censored=bool(expected_censored),
             observed_censored=bool(result.censored),
             outcome=result.outcome,
-            events=trace_tail(trace) if trace is not None else self.flight.dump(),
         )
         return False
 

@@ -73,14 +73,23 @@ class Host:
         self.outbound_filters: List[PacketFilter] = []
         self.inbound_filters: List[PacketFilter] = []
         self.accept_hooks: List[Callable[[TCPEndpoint], None]] = []
-        self._endpoints: Dict[Tuple[str, int, int], TCPEndpoint] = {}
-        self._listeners: Dict[int, Callable[[TCPEndpoint], None]] = {}
-        self._udp_binds: Dict[int, Callable[[Packet], None]] = {}
-        self._next_ephemeral = _EPHEMERAL_BASE + rng.randrange(1000)
         self.flow_rng_provider: Optional[
             Callable[[Tuple[str, int, int]], Optional[random.Random]]
         ] = None
         self.on_endpoint_closed: Optional[Callable[[TCPEndpoint], None]] = None
+        self.reset()
+
+    def reset(self) -> None:
+        """Forget every connection, listener and UDP bind, then redraw
+        the ephemeral-port base from :attr:`rng`.
+
+        Wiring — the network, filters and hooks — stays: a reused trial
+        world resets its hosts after reseeding their streams.
+        """
+        self._endpoints: Dict[Tuple[str, int, int], TCPEndpoint] = {}
+        self._listeners: Dict[int, Callable[[TCPEndpoint], None]] = {}
+        self._udp_binds: Dict[int, Callable[[Packet], None]] = {}
+        self._next_ephemeral = _EPHEMERAL_BASE + self.rng.randrange(1000)
 
     # ------------------------------------------------------------------
     # Wiring
