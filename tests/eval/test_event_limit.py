@@ -3,13 +3,17 @@
 ``Scheduler.run`` stops at ``max_events`` as a safety valve against
 runaway event loops. A trial that hits it must not be scored from the
 half-run state it reached: it reports outcome ``"event_limit"``, never
-succeeds, and is counted under that outcome in
-``repro_trial_outcomes_total``.
+succeeds, is counted under that outcome in
+``repro_trial_outcomes_total`` and, with a run log active, has its trace
+tail flight-dumped.
 """
+
+import json
 
 from repro.eval.runner import OUTCOME_EVENT_LIMIT, Trial
 from repro.netsim import Network
 from repro.obs.metrics import collecting
+from repro.obs.runlog import RunLog, activate
 from repro.runtime import TrialSpec
 
 
@@ -49,3 +53,29 @@ def test_finished_trial_is_not_exhausted():
     trial = Trial("china", "http", seed=3)
     trial.run()
     assert not trial.scheduler.exhausted
+
+
+def test_event_limit_is_flight_dumped(monkeypatch):
+    """With a run log active, the valve firing dumps the trace tail."""
+
+    _limit_events(monkeypatch, 5)
+    log = RunLog()
+    spec = TrialSpec.build("china", "http", seed=3)
+    with activate(log):
+        result = spec.run()
+    assert result.outcome == OUTCOME_EVENT_LIMIT
+    assert log.anomalies == 1
+    (dump,) = [json.loads(line) for line in log.lines(wall_clock=lambda: 0.0)]
+    assert dump["event"] == "flight_dump"
+    assert dump["reason"] == "event limit"
+    assert dump["spec"] == spec.spec_hash()
+    assert dump["detail"] == result.detail
+    assert dump["events"]  # the tail of the captured trace
+
+
+def test_finished_trial_is_not_flight_dumped():
+    log = RunLog()
+    with activate(log):
+        TrialSpec.build("china", "http", seed=3).run()
+    assert log.anomalies == 0
+    assert list(log.lines()) == []
