@@ -2,7 +2,8 @@
 
 The fast path bundles several independently-correct optimizations —
 inert-hop coalescing in the network walk, trace-free trials, the packet
-arena, and the strategy parse cache — behind one switch so that:
+arena, the strategy parse cache, and one trial world per executor shard
+(re-armed per seed) — behind one switch so that:
 
 - the differential equivalence suite can run the *same* trial with the
   fast path on and off and assert bit-identical behaviour;
