@@ -81,7 +81,7 @@ def matrix_campaign(trials: int = 5, seed: int = 0, shard_size: int = 25) -> Cam
     "censored" when any of its trials was censored or failed.
     """
     from ..eval.matrix import ALL_PROTOCOLS, TABLE1_MATRIX
-    from ..eval.runner import censored_workload
+    from ..censors.registry import censored_workload
 
     cells: List[CellSpec] = []
     for country, info in TABLE1_MATRIX.items():
@@ -223,11 +223,7 @@ def coevolve_campaign(
     search is seeded, rebuilding the spec — including ``--resume`` after
     an interruption — regenerates the identical cell list.
     """
-    from ..core.evolution import (
-        COEVOLVE_PROTOCOLS,
-        CoevolveConfig,
-        run_coevolution,
-    )
+    from ..core.evolution import CoevolveConfig, run_coevolution
 
     config = CoevolveConfig(
         epochs=epochs,
@@ -238,7 +234,7 @@ def coevolve_campaign(
         seed=seed,
     )
     result = run_coevolution(country, config=config)
-    protocol = COEVOLVE_PROTOCOLS[country]
+    protocol = result.protocol
     opponents = [("baseline", None)] + [
         (f"adapted-{index}", entry["genome"]["params"])
         for index, entry in enumerate(result.final_censor_hof)

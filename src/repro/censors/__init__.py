@@ -1,8 +1,9 @@
 """Censor models: China's GFW, India's Airtel, Iran, Kazakhstan, carriers.
 
 Each censor is a :class:`~repro.netsim.Middlebox` implementing the
-behaviour the paper reverse-engineered. See each module's docstring for
-the paper sections the behaviour comes from, and
+behaviour the paper reverse-engineered; :mod:`repro.censors.registry`
+lists and builds them, one ``CountryProfile`` per country. See each
+module's docstring for the paper sections the behaviour comes from, and
 :mod:`repro.censors.gfw.profiles` for the calibration constants.
 """
 
@@ -43,9 +44,8 @@ from .sni import (
     RUSSIA_TRACKING_WINDOW,
     SOUTHKOREA_TRACKING_WINDOW,
     SNICensor,
-    russia_censor,
-    southkorea_censor,
 )
+from .registry import CountryProfile, country_profile
 
 __all__ = [
     "ADAPTIVE_COUNTRIES",
@@ -58,6 +58,7 @@ __all__ = [
     "CarrierNATBox",
     "Censor",
     "CensorGenome",
+    "CountryProfile",
     "GreatFirewall",
     "INDIA_KEYWORDS",
     "IRAN_KEYWORDS",
@@ -80,6 +81,7 @@ __all__ = [
     "build_block_page",
     "build_censor",
     "client_oriented_key",
+    "country_profile",
     "flow_key",
     "looks_like_http_get",
     "match_dns",
@@ -87,9 +89,7 @@ __all__ = [
     "match_http",
     "match_https",
     "match_smtp",
-    "russia_censor",
     "seeded_censor_population",
-    "southkorea_censor",
     "tmobile_box",
     "wifi_box",
 ]

@@ -11,11 +11,11 @@ genome back into a live censor box.
 
 Design constraints, in priority order:
 
-- **Baseline fidelity.** ``CensorGenome.baseline(country)`` must build a
-  censor whose behaviour is bit-identical to the calibrated default
-  (``make_censor`` with no parameters): every default parameter value
-  reproduces the paper's calibration exactly, including RNG draw
-  sequences.
+- **Baseline fidelity.** ``CensorGenome.baseline(country)`` is the
+  paper's calibration: every default parameter value reproduces it
+  exactly, including RNG draw sequences. There is one factory
+  (:meth:`repro.censors.registry.CountryProfile.build`); ``make_censor``
+  with no parameters builds this baseline through it.
 - **Canonical form.** Genomes serialize to sorted compact JSON
   (:meth:`CensorGenome.canonical_key`), with floats rounded at
   construction time, so equal behaviours always hash equally — the
@@ -26,18 +26,9 @@ Design constraints, in priority order:
   content-addressed result cache, and campaign shards with no runtime
   changes.
 
-Per-country parameter menus (see :data:`CENSOR_PARAM_SPECS`):
-
-- ``china`` — global resynchronization-entry scale (rules 1–3 of §5.1),
-  TCP reassembly skill, DPI vigilance (shrinks the miss rate), and the
-  HTTP box's residual-censorship window;
-- ``india`` / ``iran`` / ``kazakhstan`` — DPI trigger depth (bytes of
-  payload inspected) plus each box's probe-aggressiveness knobs: Airtel's
-  follow-up RST count, Iran's blackhole duration, Kazakhstan's MITM
-  duration and handshake-payload ignore threshold;
-- ``southkorea`` / ``russia`` — the SNI boxes' reassembly window and byte
-  budget, RST burst size, and the behavioural bits the record-level
-  strategies exploit (ServerHello confirmation, RST teardown trust).
+The per-country parameter menus (which knobs, their bounds and the
+calibrated defaults) are each :class:`~repro.censors.registry.CountryProfile`'s
+``param_specs``, viewed here as :data:`CENSOR_PARAM_SPECS`.
 """
 
 from __future__ import annotations
@@ -48,17 +39,7 @@ import random
 from typing import Dict, List, Mapping, Optional, Tuple, Union
 
 from .base import Censor
-from .gfw import CHINA_PROFILES, BoxProfile, GreatFirewall
-from .india import AirtelCensor
-from .iran import BLACKHOLE_DURATION, IranCensor
-from .kazakhstan import MITM_DURATION, PAYLOAD_IGNORE_THRESHOLD, KazakhstanCensor
-from .keywords import RUSSIA_KEYWORDS, SOUTHKOREA_KEYWORDS
-from .sni import (
-    RUSSIA_TRACKING_WINDOW,
-    SNI_REASSEMBLY_BYTES,
-    SOUTHKOREA_TRACKING_WINDOW,
-    SNICensor,
-)
+from .registry import COUNTRIES, COUNTRY_NAMES, ParamSpec, country_profile
 
 __all__ = [
     "ADAPTIVE_COUNTRIES",
@@ -70,111 +51,13 @@ __all__ = [
     "seeded_censor_population",
 ]
 
-#: Decimal places floats are rounded to at genome construction, so the
-#: canonical JSON form is short and stable across platforms.
-_FLOAT_DECIMALS = 6
-
-#: The default payload inspection depth (bytes). Every workload in the
-#: evaluation suite fits well inside it, so the default is behaviourally
-#: identical to the unbounded inspection the static models perform.
-_FULL_INSPECT_DEPTH = 2048
-
-
-@dataclasses.dataclass(frozen=True)
-class ParamSpec:
-    """One evolvable censor parameter: its type, bounds, and default.
-
-    Attributes:
-        name: Parameter key as it appears in ``CensorGenome.params``.
-        kind: ``"float"``, ``"int"``, or ``"bool"``.
-        lo: Inclusive lower bound (numeric kinds).
-        hi: Inclusive upper bound (numeric kinds).
-        default: The calibrated paper value — the baseline genome.
-    """
-
-    name: str
-    kind: str
-    lo: float
-    hi: float
-    default: Union[float, int, bool]
-
-    def clamp(self, value: Union[float, int, bool]) -> Union[float, int, bool]:
-        """Coerce ``value`` to this parameter's type and bounds."""
-        if self.kind == "bool":
-            return bool(value)
-        if self.kind == "int":
-            return int(min(self.hi, max(self.lo, int(value))))
-        return round(float(min(self.hi, max(self.lo, float(value)))), _FLOAT_DECIMALS)
-
-    def perturb(self, value, rng: random.Random):
-        """One mutation step away from ``value``, clamped to bounds."""
-        if self.kind == "bool":
-            return not bool(value)
-        if self.kind == "int":
-            step = rng.choice((-2, -1, 1, 2))
-            return self.clamp(int(value) + step)
-        sigma = (self.hi - self.lo) / 6.0
-        return self.clamp(float(value) + rng.gauss(0.0, sigma))
-
-
 #: Evolvable parameters per country, in canonical (sorted-name) order.
 CENSOR_PARAM_SPECS: Dict[str, Tuple[ParamSpec, ...]] = {
-    "china": (
-        ParamSpec("reassembly_skill", "float", 0.0, 1.0, 0.0),
-        ParamSpec("residual_duration", "float", 0.0, 240.0, 90.0),
-        ParamSpec("resync_scale", "float", 0.0, 1.5, 1.0),
-        ParamSpec("vigilance", "float", 0.0, 1.0, 0.0),
-    ),
-    "india": (
-        ParamSpec("inspect_depth", "int", 64, 2048, _FULL_INSPECT_DEPTH),
-        ParamSpec("rst_count", "int", 1, 5, 1),
-    ),
-    "iran": (
-        ParamSpec("blackhole_duration", "float", 5.0, 240.0, BLACKHOLE_DURATION),
-        ParamSpec("inspect_depth", "int", 64, 2048, _FULL_INSPECT_DEPTH),
-    ),
-    "kazakhstan": (
-        ParamSpec("inspect_depth", "int", 64, 2048, _FULL_INSPECT_DEPTH),
-        ParamSpec("mitm_duration", "float", 5.0, 60.0, MITM_DURATION),
-        ParamSpec(
-            "payload_ignore_threshold", "int", 2, 8, PAYLOAD_IGNORE_THRESHOLD
-        ),
-    ),
-    "southkorea": (
-        ParamSpec("confirm_server_hello", "bool", 0, 1, True),
-        ParamSpec("honor_rst_teardown", "bool", 0, 1, True),
-        ParamSpec(
-            "reassembly_bytes", "int", 512, 65536, SNI_REASSEMBLY_BYTES
-        ),
-        ParamSpec("rst_count", "int", 1, 6, 3),
-        ParamSpec(
-            "tracking_window", "float", 0.25, 10.0, SOUTHKOREA_TRACKING_WINDOW
-        ),
-    ),
-    "russia": (
-        ParamSpec("blackhole_duration", "float", 5.0, 240.0, 60.0),
-        ParamSpec("honor_rst_teardown", "bool", 0, 1, False),
-        ParamSpec(
-            "reassembly_bytes", "int", 512, 65536, SNI_REASSEMBLY_BYTES
-        ),
-        ParamSpec(
-            "tracking_window", "float", 0.25, 10.0, RUSSIA_TRACKING_WINDOW
-        ),
-    ),
+    profile.name: profile.param_specs for profile in COUNTRIES
 }
 
 #: Countries with an adaptive parameterization (every censored country).
-ADAPTIVE_COUNTRIES: Tuple[str, ...] = tuple(sorted(CENSOR_PARAM_SPECS))
-
-
-def _spec_map(country: str) -> Dict[str, ParamSpec]:
-    specs = CENSOR_PARAM_SPECS.get(country)
-    if specs is None:
-        raise ValueError(
-            f"no adaptive parameterization for country {country!r} "
-            f"(valid: {', '.join(ADAPTIVE_COUNTRIES)})"
-        )
-    return {spec.name: spec for spec in specs}
+ADAPTIVE_COUNTRIES: Tuple[str, ...] = tuple(sorted(COUNTRY_NAMES))
 
 
 @dataclasses.dataclass
@@ -194,19 +77,7 @@ class CensorGenome:
     )
 
     def __post_init__(self) -> None:
-        specs = _spec_map(self.country)
-        unknown = set(self.params) - set(specs)
-        if unknown:
-            raise ValueError(
-                f"unknown {self.country} censor parameters: "
-                f"{', '.join(sorted(unknown))}"
-            )
-        normalized: Dict[str, Union[float, int, bool]] = {}
-        for name in sorted(specs):
-            spec = specs[name]
-            value = self.params.get(name, spec.default)
-            normalized[name] = spec.clamp(value)
-        self.params = normalized
+        self.params = country_profile(self.country).normalise(self.params)
 
     # ------------------------------------------------------------------
     # Construction helpers
@@ -235,18 +106,14 @@ class CensorGenome:
     @property
     def is_baseline(self) -> bool:
         """Whether every parameter sits at its calibrated default."""
-        specs = _spec_map(self.country)
-        return all(
-            self.params[name] == spec.clamp(spec.default)
-            for name, spec in specs.items()
-        )
+        return self.params == country_profile(self.country).defaults
 
     # ------------------------------------------------------------------
     # Evolutionary operators
 
     def mutate(self, rng: random.Random, operations: int = 1) -> "CensorGenome":
         """A mutated copy: ``operations`` single-parameter perturbations."""
-        specs = _spec_map(self.country)
+        specs = country_profile(self.country).spec_map
         names = sorted(specs)
         params = dict(self.params)
         for _ in range(max(1, operations)):
@@ -271,43 +138,6 @@ class CensorGenome:
         return build_censor(self.country, self.params, rng)
 
 
-# ----------------------------------------------------------------------
-# Genome -> censor factories
-
-
-def _china_profiles(params: Mapping[str, float]) -> Dict[str, BoxProfile]:
-    """Scale the calibrated GFW profiles by the genome's knobs.
-
-    At default parameter values every arithmetic identity below is exact
-    (``p * 1.0 == p``, ``p * (1 - 0.0) == p``), so the baseline genome's
-    profiles — and therefore the GFW's RNG draw sequence — are
-    bit-identical to :data:`~repro.censors.gfw.CHINA_PROFILES`.
-    """
-    scale = params["resync_scale"]
-    skill = params["reassembly_skill"]
-    vigilance = params["vigilance"]
-    residual = params["residual_duration"]
-    profiles: Dict[str, BoxProfile] = {}
-    for name, profile in CHINA_PROFILES.items():
-        profiles[name] = dataclasses.replace(
-            profile,
-            miss_prob=profile.miss_prob * (1.0 - vigilance),
-            event_probs={
-                event: min(1.0, prob * scale)
-                for event, prob in profile.event_probs.items()
-            },
-            combo_probs={
-                combo: min(1.0, prob * scale)
-                for combo, prob in profile.combo_probs.items()
-            },
-            reassembly_fail_prob=profile.reassembly_fail_prob * (1.0 - skill),
-            residual_duration=(
-                residual if profile.residual_duration else profile.residual_duration
-            ),
-        )
-    return profiles
-
-
 def build_censor(
     country: str,
     params: Optional[Mapping[str, Union[float, int, bool]]] = None,
@@ -315,60 +145,11 @@ def build_censor(
 ) -> Censor:
     """Build the live censor for ``country`` configured by ``params``.
 
-    ``params`` may be partial (missing keys take their calibrated
-    defaults) — it is normalized through :class:`CensorGenome` first, so
-    out-of-bounds values clamp and unknown keys raise. ``rng`` feeds the
-    probabilistic censors (currently only China's GFW).
+    The one censor factory, :meth:`CountryProfile.build
+    <repro.censors.registry.CountryProfile.build>`, which ``make_censor``
+    also calls (``params`` may be partial; ``None`` is the baseline).
     """
-    genome = CensorGenome(country, dict(params) if params else {})
-    values = genome.params
-    if country == "china":
-        return GreatFirewall(
-            rng=rng if rng is not None else random.Random(0),
-            profiles=_china_profiles(values),
-        )
-    if country == "india":
-        return AirtelCensor(
-            inspect_depth=int(values["inspect_depth"]),
-            rst_count=int(values["rst_count"]),
-        )
-    if country == "iran":
-        return IranCensor(
-            duration=float(values["blackhole_duration"]),
-            inspect_depth=int(values["inspect_depth"]),
-        )
-    if country == "kazakhstan":
-        return KazakhstanCensor(
-            mitm_duration=float(values["mitm_duration"]),
-            payload_ignore_threshold=int(values["payload_ignore_threshold"]),
-            inspect_depth=int(values["inspect_depth"]),
-        )
-    if country == "southkorea":
-        return SNICensor(
-            SOUTHKOREA_KEYWORDS,
-            tracking_window=float(values["tracking_window"]),
-            reassembly_bytes=int(values["reassembly_bytes"]),
-            rst_count=int(values["rst_count"]),
-            rst_direction="client",
-            strict=False,
-            confirm_server_hello=bool(values["confirm_server_hello"]),
-            honor_rst_teardown=bool(values["honor_rst_teardown"]),
-            name="southkorea",
-        )
-    if country == "russia":
-        return SNICensor(
-            RUSSIA_KEYWORDS,
-            tracking_window=float(values["tracking_window"]),
-            reassembly_bytes=int(values["reassembly_bytes"]),
-            rst_count=1,
-            rst_direction="both",
-            strict=True,
-            confirm_server_hello=False,
-            honor_rst_teardown=bool(values["honor_rst_teardown"]),
-            blackhole_duration=float(values["blackhole_duration"]),
-            name="russia",
-        )
-    raise ValueError(f"unknown country {country!r}")  # pragma: no cover
+    return country_profile(country).build(params, rng)
 
 
 def axis_probe_genomes(country: str) -> List[CensorGenome]:
@@ -384,7 +165,7 @@ def axis_probe_genomes(country: str) -> List[CensorGenome]:
     """
     base = CensorGenome.baseline(country)
     probes: List[CensorGenome] = []
-    for name, spec in sorted(_spec_map(country).items()):
+    for name, spec in sorted(country_profile(country).spec_map.items()):
         if spec.kind == "bool":
             extremes: Tuple[object, ...] = (not spec.default,)
         else:

@@ -45,14 +45,14 @@ class IranCensor(Censor):
         keywords: KeywordSet = IRAN_KEYWORDS,
         http_ports: FrozenSet[int] = frozenset({80}),
         https_ports: FrozenSet[int] = frozenset({443}),
-        duration: float = BLACKHOLE_DURATION,
+        blackhole_duration: float = BLACKHOLE_DURATION,
         inspect_depth: Optional[int] = None,
     ) -> None:
         super().__init__()
         self.keywords = keywords
         self.http_ports = http_ports
         self.https_ports = https_ports
-        self.duration = duration
+        self.duration = blackhole_duration
         # Adaptive knob (repro.censors.adaptive): payload bytes the DPI
         # examines per packet (None = unbounded, the calibrated model).
         self.inspect_depth = inspect_depth

@@ -9,9 +9,10 @@ configurable byte budget and per-flow tracking window — so client-side
 segmentation alone no longer evades it. The server-side answers live in
 :mod:`repro.strategies.tlsrecord`.
 
-Calibrations:
+Calibrations (built by the ``southkorea`` and ``russia`` profiles in
+:mod:`repro.censors.registry`):
 
-- :func:`southkorea_censor` — on-path, reassembling, *lenient*: a hello
+- South Korea's SNIC — on-path, reassembling, *lenient*: a hello
   it cannot parse is given the benefit of the doubt. It fingerprints a
   blocked SNI, then confirms the flow is really TLS by parsing the
   server's first response for a complete ServerHello before injecting a
@@ -20,7 +21,7 @@ Calibrations:
   segmented ServerHellos never parse, so the box stands down. It also
   trusts observed RSTs (without validating checksums) and purges flow
   state on them.
-- :func:`russia_censor` — in-path and *strict*: the verdict fires on the
+- Russia's TSPU-style box — in-path and *strict*: the verdict fires on the
   reassembled ClientHello itself, unparseable or SNI-less (ESNI) hellos
   are dropped, and the flow is blackholed; injected RSTs tear down both
   ends. Observed RSTs are ignored (no teardown-insertion escape). Only
@@ -47,12 +48,10 @@ from ..netsim import PathContext
 from ..obs.metrics import Counter
 from ..packets import Packet, make_tcp_packet
 from .base import Censor, FlowKey, flow_key
-from .keywords import KeywordSet, RUSSIA_KEYWORDS, SOUTHKOREA_KEYWORDS
+from .keywords import KeywordSet
 
 __all__ = [
     "SNICensor",
-    "southkorea_censor",
-    "russia_censor",
     "SNI_REASSEMBLY_BYTES",
     "SOUTHKOREA_TRACKING_WINDOW",
     "RUSSIA_TRACKING_WINDOW",
@@ -376,31 +375,3 @@ class SNICensor(Censor):
                     ),
                     toward="server",
                 )
-
-
-def southkorea_censor() -> SNICensor:
-    """South Korea's SNIC: lenient, confirm-then-RST, trusts wire RSTs."""
-    return SNICensor(
-        SOUTHKOREA_KEYWORDS,
-        tracking_window=SOUTHKOREA_TRACKING_WINDOW,
-        rst_count=3,
-        rst_direction="client",
-        strict=False,
-        confirm_server_hello=True,
-        honor_rst_teardown=True,
-        name="southkorea",
-    )
-
-
-def russia_censor() -> SNICensor:
-    """Russia's TSPU-style box: strict, in-path, blackholing, RST-deaf."""
-    return SNICensor(
-        RUSSIA_KEYWORDS,
-        tracking_window=RUSSIA_TRACKING_WINDOW,
-        rst_count=1,
-        rst_direction="both",
-        strict=True,
-        confirm_server_hello=False,
-        honor_rst_teardown=False,
-        name="russia",
-    )

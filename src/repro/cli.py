@@ -46,6 +46,7 @@ import argparse
 import sys
 from typing import List, Optional
 
+from .censors.registry import COUNTRY_NAMES, PROTOCOLS, select_countries
 from .core import SERVER_STRATEGIES, Strategy, deployed_strategy
 from .core.evolution import CensorTrialEvaluator, GAConfig, GeneticAlgorithm
 from .eval import run_trial, success_rate
@@ -54,8 +55,9 @@ from .eval.waterfall import render_waterfall
 
 __all__ = ["main", "build_parser"]
 
-_COUNTRIES = ["china", "india", "iran", "kazakhstan", "southkorea", "russia", "none"]
-_PROTOCOLS = ["dns", "ftp", "http", "https", "smtp"]
+#: Censor choices: every registry country, then ``none`` (no censor).
+_COUNTRIES = [*COUNTRY_NAMES, "none"]
+_PROTOCOLS = list(PROTOCOLS)
 
 #: Library strategy numbers, rendered dynamically so help text tracks
 #: additions to the strategy library without edits here.
@@ -180,7 +182,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_explain.add_argument("--seed", type=int, default=0)
 
     p_evolve = sub.add_parser("evolve", help="run the genetic algorithm")
-    p_evolve.add_argument("country", choices=_COUNTRIES[:-1])
+    p_evolve.add_argument("country", choices=COUNTRY_NAMES)
     p_evolve.add_argument("protocol", choices=_PROTOCOLS)
     p_evolve.add_argument("--population", type=int, default=30)
     p_evolve.add_argument("--generations", type=int, default=30)
@@ -203,7 +205,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="co-evolve adaptive censors against strategy populations",
     )
     p_coevolve.add_argument(
-        "country", nargs="?", default="china", choices=_COUNTRIES[:-1],
+        "country", nargs="?", default="china", choices=COUNTRY_NAMES,
         help="censor country to adapt (default: china)",
     )
     p_coevolve.add_argument(
@@ -285,8 +287,8 @@ def build_parser() -> argparse.ArgumentParser:
         help="per-link loss probabilities to sweep (default: a small grid)",
     )
     p_robust.add_argument(
-        "--countries", nargs="*", default=None, choices=_COUNTRIES[:-1],
-        help="countries to sweep (default: all four)",
+        "--countries", nargs="*", default=None, choices=COUNTRY_NAMES,
+        help="countries to sweep (default: all)",
     )
     p_robust.add_argument("--trials", type=int, default=20)
     p_robust.add_argument("--seed", type=int, default=0)
@@ -307,8 +309,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_sni.add_argument("--seed", type=int, default=0)
     p_sni.add_argument(
         "--countries", nargs="*", default=None,
-        choices=["southkorea", "russia"],
-        help="SNI-censoring countries to measure (default: both)",
+        choices=select_countries(block="sni"),
+        help="SNI-censoring countries to measure (default: all)",
     )
     p_sni.add_argument(
         "--json", action="store_true",

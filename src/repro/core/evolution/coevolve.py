@@ -36,6 +36,7 @@ import random
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from ...censors.adaptive import CensorGenome, seeded_censor_population
+from ...censors.registry import COUNTRIES, country_profile
 from ...obs.metrics import Counter, Histogram
 from ..dsl import Strategy
 from ..strategies import SERVER_STRATEGIES
@@ -62,14 +63,9 @@ __all__ = [
 ]
 
 #: Default protocol per country: the protocol the paper (or the SNI-era
-#: escalation) evaluates that censor on.
+#: escalation) evaluates that censor on (a registry view).
 COEVOLVE_PROTOCOLS: Dict[str, str] = {
-    "china": "http",
-    "india": "http",
-    "iran": "http",
-    "kazakhstan": "http",
-    "southkorea": "https",
-    "russia": "https",
+    profile.name: profile.coevolve_protocol for profile in COUNTRIES
 }
 
 #: A censor "defeats" a strategy when it pushes the strategy's evasion
@@ -580,7 +576,8 @@ def run_coevolution(
     from ..strategies import deployed_strategy
 
     config = config if config is not None else CoevolveConfig()
-    protocol = protocol if protocol is not None else COEVOLVE_PROTOCOLS[country]
+    profile = country_profile(country)
+    protocol = protocol if protocol is not None else profile.coevolve_protocol
     if executor is None:
         executor = TrialExecutor(workers=workers, cache=cache)
 

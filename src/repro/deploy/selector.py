@@ -14,6 +14,7 @@ from __future__ import annotations
 import random
 from typing import Callable, Dict, List, Optional, Tuple
 
+from ..censors.registry import COUNTRIES
 from ..core import Strategy, deployed_strategy
 from ..packets import Packet
 from ..tcpstack import Host
@@ -26,20 +27,12 @@ __all__ = [
     "parse_cidr",
 ]
 
-#: Best Table 2 strategy per (country, protocol).
+#: Best server-side strategy per (country, protocol): the Table 2 winner,
+#: or the SNI-matrix winner for the SNI-era boxes (a registry view).
 RECOMMENDED_STRATEGIES: Dict[Tuple[str, str], int] = {
-    ("china", "dns"): 1,     # 89%
-    ("china", "ftp"): 5,     # 97%
-    ("china", "http"): 1,    # 54%
-    ("china", "https"): 2,   # 55%
-    ("china", "smtp"): 8,    # 100%
-    ("india", "http"): 8,    # 100%
-    ("iran", "http"): 8,     # 100%
-    ("iran", "https"): 8,    # 100%
-    ("kazakhstan", "http"): 11,  # 100%, no payload quirks
-    # SNI-era boxes (eval/sni_matrix.py grid, not Table 2):
-    ("southkorea", "https"): 12,  # record split beats the confirm step
-    ("russia", "https"): 15,      # only deep migration outlasts TSPU
+    (profile.name, protocol): case.strategy
+    for profile in COUNTRIES
+    for protocol, case in profile.censored.items()
 }
 
 

@@ -17,6 +17,7 @@ Experiment drivers (each regenerates one paper artifact):
   (TLS-metadata censors vs record-level server-side strategies).
 """
 
+from ..censors.registry import benign_workload, censored_workload, default_port
 from .runner import (
     CLIENT_IP,
     COUNTRY_PROTOCOLS,
@@ -25,9 +26,6 @@ from .runner import (
     SERVER_IP,
     Trial,
     TrialResult,
-    benign_workload,
-    censored_workload,
-    default_port,
     run_trial,
     success_rate,
 )

@@ -13,12 +13,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List
 
+from ..censors.registry import PROTOCOLS, censored_workload
 from ..runtime import TrialExecutor, TrialSpec, trial_seed
 from .reference import TABLE1_MATRIX
 
 __all__ = ["MatrixEntry", "measure_censorship_matrix", "format_matrix"]
 
-ALL_PROTOCOLS = ("dns", "ftp", "http", "https", "smtp")
+ALL_PROTOCOLS = tuple(PROTOCOLS)
 
 
 @dataclass
@@ -56,8 +57,6 @@ def measure_censorship_matrix(
     be stable under mild loss — retransmission recovers the trigger);
     ``net_seed`` pins the impairment stream per probe.
     """
-    from .runner import censored_workload  # deferred for doc-build friendliness
-
     if executor is None:
         executor = TrialExecutor(workers=workers, cache=cache)
 

@@ -9,6 +9,8 @@ from __future__ import annotations
 
 from typing import Dict, Optional, Tuple
 
+from ..censors.registry import COUNTRIES, country_profile
+
 __all__ = [
     "TABLE2_CHINA",
     "TABLE2_OTHER",
@@ -17,7 +19,7 @@ __all__ = [
     "CHINA_PROTOCOLS",
 ]
 
-CHINA_PROTOCOLS = ("dns", "ftp", "http", "https", "smtp")
+CHINA_PROTOCOLS = country_profile("china").protocols
 
 #: Table 2, China block: strategy number (0 = no evasion) -> per-protocol
 #: success percentage.
@@ -50,34 +52,14 @@ TABLE2_OTHER: Dict[Tuple[str, int, str], int] = {
     ("kazakhstan", 11, "http"): 100,
 }
 
-#: Table 1: client locations and protocols per country.
+#: Table 1: client locations and protocols per country (a registry view;
+#: the matrix measures the post-paper SNI-era boxes the same way).
 TABLE1_MATRIX: Dict[str, Dict[str, tuple]] = {
-    "china": {
-        "vantage_points": ("Beijing", "Shanghai", "Shenzen", "Zhengzhou"),
-        "protocols": ("dns", "ftp", "http", "https", "smtp"),
-    },
-    "india": {
-        "vantage_points": ("Bangalore",),
-        "protocols": ("http",),
-    },
-    "iran": {
-        "vantage_points": ("Tehran", "Zanjan"),
-        "protocols": ("http", "https"),
-    },
-    "kazakhstan": {
-        "vantage_points": ("Qaraghandy", "Almaty"),
-        "protocols": ("http",),
-    },
-    # Post-paper SNI-era boxes (repro.censors.sni) — not in the paper's
-    # Table 1, but measured by the same matrix driver.
-    "southkorea": {
-        "vantage_points": ("Seoul",),
-        "protocols": ("https",),
-    },
-    "russia": {
-        "vantage_points": ("Moscow",),
-        "protocols": ("https",),
-    },
+    profile.name: {
+        "vantage_points": profile.vantage_points,
+        "protocols": profile.protocols,
+    }
+    for profile in COUNTRIES
 }
 
 

@@ -13,19 +13,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from ..apps import DNSClient, FTPClient, HTTPClient, HTTPSClient, SMTPClient
-from .runner import SERVER_IP, Trial, benign_workload, censored_workload, default_port
+from ..censors.registry import PROTOCOLS, benign_workload
+from .runner import SERVER_IP, Trial
 
 __all__ = ["ResidualProbe", "residual_probe"]
-
-_CLIENTS = {
-    "http": HTTPClient,
-    "https": HTTPSClient,
-    "dns": DNSClient,
-    "ftp": FTPClient,
-    "smtp": SMTPClient,
-}
-
 
 @dataclass
 class ResidualProbe:
@@ -62,9 +53,8 @@ def residual_probe(
     start_at = censor_time + delay
     trial.network.run(until=max(start_at, trial.scheduler.now))
 
-    port = default_port(protocol)
-    params = benign_workload(protocol)
-    second = _CLIENTS[protocol](trial.client_host, SERVER_IP, port, **params)
+    apps = PROTOCOLS[protocol]
+    second = apps.client(trial.client_host, SERVER_IP, apps.port, **benign_workload(protocol))
     second.start()
     trial.network.run(until=trial.scheduler.now + 25.0)
 

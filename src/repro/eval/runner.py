@@ -18,27 +18,8 @@ import random
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence
 
-from ..apps import (
-    DNSClient,
-    DNSServer,
-    FTPClient,
-    FTPServer,
-    HTTPClient,
-    HTTPSClient,
-    HTTPSServer,
-    HTTPServer,
-    SMTPClient,
-    SMTPServer,
-)
-from ..censors import (
-    AirtelCensor,
-    Censor,
-    GreatFirewall,
-    IranCensor,
-    KazakhstanCensor,
-    russia_censor,
-    southkorea_censor,
-)
+from ..censors import Censor
+from ..censors.registry import COUNTRIES, PROTOCOLS, country_profile, workload_for
 from ..core import Strategy, install_strategy
 from ..netsim import Impairment, Middlebox, Network, NullTrace, Scheduler, Trace
 from ..runtime.seeds import net_stream_seed, trial_seed
@@ -54,9 +35,6 @@ __all__ = [
     "DEFAULT_CENSOR_HOP",
     "DEFAULT_SERVER_HOP",
     "COUNTRY_PROTOCOLS",
-    "censored_workload",
-    "benign_workload",
-    "default_port",
 ]
 
 #: Outcome of a trial whose scheduler stopped at its event limit.
@@ -72,72 +50,8 @@ SERVER_IP_V6 = "2001:db8:ffff::10"
 DEFAULT_CENSOR_HOP = 3
 DEFAULT_SERVER_HOP = 10
 
-#: Protocols each country censors (Table 1 / §4.2, plus the SNI-era
-#: boxes modelled after the paper: South Korea's SNIC and Russia's TSPU).
-COUNTRY_PROTOCOLS: Dict[str, List[str]] = {
-    "china": ["dns", "ftp", "http", "https", "smtp"],
-    "india": ["http"],
-    "iran": ["http", "https"],
-    "kazakhstan": ["http"],
-    "southkorea": ["https"],
-    "russia": ["https"],
-}
-
-_CLIENT_CLASSES = {
-    "http": HTTPClient,
-    "https": HTTPSClient,
-    "dns": DNSClient,
-    "ftp": FTPClient,
-    "smtp": SMTPClient,
-}
-
-_SERVER_CLASSES = {
-    "http": HTTPServer,
-    "https": HTTPSServer,
-    "dns": DNSServer,
-    "ftp": FTPServer,
-    "smtp": SMTPServer,
-}
-
-_DEFAULT_PORTS = {"http": 80, "https": 443, "dns": 53, "ftp": 21, "smtp": 25}
-
-#: Censored request parameters per (country, protocol) — §4.2's workloads.
-_CENSORED_WORKLOADS: Dict[tuple, dict] = {
-    ("china", "http"): {"path": "/?q=ultrasurf", "host_header": "example.com"},
-    ("china", "https"): {"server_name": "www.wikipedia.org"},
-    ("china", "dns"): {"qname": "www.wikipedia.org"},
-    ("china", "ftp"): {"filename": "ultrasurf.txt"},
-    ("china", "smtp"): {"recipient": "xiazai@upup.info"},
-    ("india", "http"): {"path": "/", "host_header": "blocked.example.in"},
-    ("iran", "http"): {"path": "/", "host_header": "youtube.com"},
-    ("iran", "https"): {"server_name": "youtube.com"},
-    ("kazakhstan", "http"): {"path": "/", "host_header": "blocked.example.kz"},
-    ("southkorea", "https"): {"server_name": "blocked.example.kr"},
-    ("russia", "https"): {"server_name": "blocked.example.ru"},
-}
-
-_BENIGN_WORKLOADS: Dict[str, dict] = {
-    "http": {"path": "/?q=kittens", "host_header": "benign.example.com"},
-    "https": {"server_name": "benign.example.com"},
-    "dns": {"qname": "benign.example.com"},
-    "ftp": {"filename": "notes.txt"},
-    "smtp": {"recipient": "friend@example.org"},
-}
-
-
-def censored_workload(country: str, protocol: str) -> dict:
-    """Client parameters that trigger censorship for (country, protocol)."""
-    return dict(_CENSORED_WORKLOADS[(country, protocol)])
-
-
-def benign_workload(protocol: str) -> dict:
-    """Client parameters that no censor objects to."""
-    return dict(_BENIGN_WORKLOADS[protocol])
-
-
-def default_port(protocol: str) -> int:
-    """The protocol's default server port."""
-    return _DEFAULT_PORTS[protocol]
+#: Protocols each country censors (a view of :mod:`repro.censors.registry`).
+COUNTRY_PROTOCOLS: Dict[str, List[str]] = {p.name: list(p.protocols) for p in COUNTRIES}
 
 
 def make_censor(
@@ -150,28 +64,12 @@ def make_censor(
     ``params`` configures an *adaptive* censor variant (see
     :mod:`repro.censors.adaptive`): a JSON-able dict of bounded knobs —
     a :class:`~repro.censors.adaptive.CensorGenome`'s ``params`` — that
-    reshapes the calibrated model. ``None`` keeps the paper's static
-    calibration on the exact pre-adaptive code path.
+    reshapes the calibrated model. ``None`` (or ``{}``) builds the
+    paper's calibration, the baseline parameter vector.
     """
     if country is None:
         return None
-    if params is not None:
-        from ..censors.adaptive import build_censor
-
-        return build_censor(country, params, rng)
-    if country == "china":
-        return GreatFirewall(rng=rng)
-    if country == "india":
-        return AirtelCensor()
-    if country == "iran":
-        return IranCensor()
-    if country == "kazakhstan":
-        return KazakhstanCensor()
-    if country == "southkorea":
-        return southkorea_censor()
-    if country == "russia":
-        return russia_censor()
-    raise ValueError(f"unknown country {country!r}")
+    return country_profile(country).build(params, rng)
 
 
 @dataclass
@@ -329,12 +227,9 @@ class Trial:
             host_engines.append(self.client_engine)
         self._host_engines = tuple(host_engines)
 
-        self._port = server_port if server_port is not None else default_port(protocol)
-        params = workload if workload is not None else (
-            censored_workload(country, protocol)
-            if country is not None and (country, protocol) in _CENSORED_WORKLOADS
-            else benign_workload(protocol)
-        )
+        self._apps = PROTOCOLS[protocol]
+        self._port = server_port if server_port is not None else self._apps.port
+        params = workload if workload is not None else workload_for(country, protocol)
         if protocol == "dns":
             params.setdefault("tries", dns_tries)
         self._client_params = params
@@ -383,9 +278,9 @@ class Trial:
 
     def _install_apps(self) -> None:
         """Build the server app (listening) and the client app (not started)."""
-        self.server_app = _SERVER_CLASSES[self.protocol](self.server_host, self._port)
+        self.server_app = self._apps.server(self.server_host, self._port)
         self.server_app.install()
-        self.client_app = _CLIENT_CLASSES[self.protocol](
+        self.client_app = self._apps.client(
             self.client_host, self.server_ip, self._port, **self._client_params
         )
 
@@ -451,9 +346,12 @@ def success_rate(
     default split from each trial's own seed. Arguments that cannot be
     expressed as picklable specs (live censor instances, middlebox
     objects, ...) fall back to an in-process loop over the same seeds.
+    An unknown ``country`` raises ``ValueError`` before any trial runs.
     """
     from ..runtime import SpecError, TrialExecutor, TrialSpec
 
+    if country is not None:
+        country_profile(country)
     imp = Impairment.from_value(impairment)
     if imp is not None and imp.is_null():
         imp = None

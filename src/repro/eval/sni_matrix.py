@@ -21,8 +21,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
+from ..censors.registry import censored_workload, select_countries
 from ..core import SERVER_STRATEGIES, deployed_strategy
-from .runner import censored_workload, success_rate
+from .runner import success_rate
 
 __all__ = [
     "SNI_COUNTRIES",
@@ -34,7 +35,7 @@ __all__ = [
 ]
 
 #: Countries with SNI-filtering censor models, in table order.
-SNI_COUNTRIES: Tuple[str, ...] = ("southkorea", "russia")
+SNI_COUNTRIES: Tuple[str, ...] = select_countries(block="sni")
 
 #: Matrix columns: baseline, each SNI-era strategy number, ESNI serving.
 SNI_COLUMNS: Tuple[str, ...] = ("baseline", "12", "13", "14", "15", "esni")
@@ -83,13 +84,14 @@ def sni_matrix(
 
     One executor spans the whole grid (``workers``/``cache``/``executor``
     as in :func:`~repro.eval.runner.success_rate`), so the grid is
-    byte-identical across worker counts.
+    byte-identical across worker counts. ``countries`` defaults to every
+    SNI country; any other name raises ``ValueError``.
     """
     from ..runtime import TrialExecutor
 
+    wanted = select_countries(countries, "sni")
     if executor is None:
         executor = TrialExecutor(workers=workers, cache=cache)
-    wanted = countries if countries is not None else list(SNI_COUNTRIES)
     cells: List[SNIMatrixCell] = []
     for country in SNI_COUNTRIES:
         if country not in wanted:

@@ -21,6 +21,7 @@ import random
 from typing import Dict, List, Optional, Sequence
 
 from ..censors import CHINA_PROFILES, GreatFirewall
+from ..censors.registry import COUNTRIES, select_countries
 from ..censors.gfw.profiles import EVENT_RST
 from ..core import Strategy, deployed_strategy
 from ..netsim import Impairment
@@ -194,14 +195,10 @@ def censor_hop_sweep(
 
 
 #: Representative working strategy per country (mirrors the golden-trace
-#: cases): (protocol, deployed strategy number).
+#: cases): (protocol, recommended strategy number).
 ROBUSTNESS_CASES: Dict[str, tuple] = {
-    "china": ("http", 1),
-    "india": ("http", 8),
-    "iran": ("https", 8),
-    "kazakhstan": ("http", 11),
-    "southkorea": ("https", 12),
-    "russia": ("https", 15),
+    profile.name: (profile.robustness, profile.censored[profile.robustness].strategy)
+    for profile in COUNTRIES
 }
 
 #: Per-link loss probabilities swept by default. The simulated path has
@@ -230,10 +227,13 @@ def impairment_robustness_sweep(
     ``net_seed`` pins the impairment randomness (fanned out per trial);
     leaving it ``None`` splits the impairment stream from each trial's
     own seed. Either way two identical invocations produce identical
-    curves. Returns ``{country: {loss_rate: success_rate}}``.
+    curves. Returns ``{country: {loss_rate: success_rate}}``;
+    ``countries`` defaults to every country, and an unknown one raises
+    ``ValueError``.
     """
     if countries is None:
         countries = sorted(ROBUSTNESS_CASES)
+    countries = select_countries(countries)
     curves: Dict[str, Dict[float, float]] = {}
     for country in countries:
         protocol, number = ROBUSTNESS_CASES[country]

@@ -10,6 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
+from ..censors.registry import select_countries
 from ..core import SERVER_STRATEGIES, deployed_strategy
 from .reference import CHINA_PROTOCOLS, TABLE2_OTHER, paper_rate
 from .runner import success_rate
@@ -64,13 +65,15 @@ def generate_table2(
     One :class:`~repro.runtime.TrialExecutor` is shared across all cells
     so the result cache and run counters span the whole table
     (``workers``/``cache``/``executor`` as in
-    :func:`~repro.eval.runner.success_rate`).
+    :func:`~repro.eval.runner.success_rate`). ``countries`` defaults to
+    every country with a Table 2 block; any other name raises
+    ``ValueError``.
     """
     from ..runtime import TrialExecutor
 
+    wanted = select_countries(countries, "table2")
     if executor is None:
         executor = TrialExecutor(workers=workers, cache=cache)
-    wanted = countries if countries is not None else ["china", "india", "iran", "kazakhstan"]
     cells: List[Table2Cell] = []
     if "china" in wanted:
         for number in CHINA_STRATEGY_NUMBERS:
@@ -126,7 +129,7 @@ def format_table2(cells: List[Table2Cell]) -> str:
                 cell = by_key[(number, protocol)]
                 row.append(f"{cell.measured_pct:>4}/{cell.paper if cell.paper is not None else '--':>3}    ")
             lines.append(f"{number:>2} {name:<29}" + "  ".join(row))
-    for country in ("india", "iran", "kazakhstan"):
+    for country in dict.fromkeys(country for country, _, _ in OTHER_CELLS):
         rows = [c for c in cells if c.country == country]
         if not rows:
             continue

@@ -26,7 +26,7 @@ import random
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from ..eval.runner import COUNTRY_PROTOCOLS
+from ..censors.registry import COUNTRIES, PROTOCOLS, country_profile
 from ..runtime.seeds import fleet_stream_seed, trial_seed
 from ..tcpstack import personality
 
@@ -39,17 +39,11 @@ __all__ = [
     "flow_client_ip",
 ]
 
-#: /16 client prefixes per country (and the uncensored cohort). These are
-#: what the deployed server's GeoStrategySelector is loaded with; note
-#: that china's prefix makes fleet flow 0 from china exactly the classic
-#: single-trial client address 10.1.0.2.
+#: /16 client prefixes per country (each profile's ``fleet_prefix``) and
+#: the uncensored cohort. These are what the deployed server's
+#: GeoStrategySelector is loaded with.
 COUNTRY_PREFIXES: Dict[Optional[str], str] = {
-    "china": "10.1",
-    "kazakhstan": "10.2",
-    "india": "10.3",
-    "iran": "10.4",
-    "southkorea": "10.5",
-    "russia": "10.6",
+    **{profile.name: profile.fleet_prefix for profile in COUNTRIES},
     None: "172.16",
 }
 
@@ -81,15 +75,13 @@ class FleetMixEntry:
 
     def validate(self) -> None:
         if self.country is not None:
-            protocols = COUNTRY_PROTOCOLS.get(self.country)
-            if protocols is None:
-                raise ValueError(f"unknown country {self.country!r}")
+            protocols = country_profile(self.country).protocols
             if self.protocol not in protocols:
                 raise ValueError(
                     f"{self.country} does not censor {self.protocol!r} "
-                    f"(expected one of {protocols})"
+                    f"(expected one of {list(protocols)})"
                 )
-        elif self.protocol not in ("dns", "ftp", "http", "https", "smtp"):
+        elif self.protocol not in PROTOCOLS:
             raise ValueError(f"unknown protocol {self.protocol!r}")
         personality(self.client_os)  # raises on unknown personality
         if self.weight <= 0:

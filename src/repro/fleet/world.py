@@ -37,27 +37,12 @@ import random
 from typing import Callable, Dict, List, NamedTuple, Optional
 
 from .. import fastpath as _fastpath
-from ..apps import (
-    DNSClient,
-    DNSServer,
-    FTPClient,
-    FTPServer,
-    HTTPClient,
-    HTTPSClient,
-    HTTPSServer,
-    HTTPServer,
-    SMTPClient,
-    SMTPServer,
-)
+from ..censors.registry import PROTOCOLS, workload_for
 from ..deploy import GeoStrategySelector, PerClientEngine
 from ..eval.runner import (
-    _CENSORED_WORKLOADS,
     DEFAULT_CENSOR_HOP,
     DEFAULT_SERVER_HOP,
     SERVER_IP,
-    benign_workload,
-    censored_workload,
-    default_port,
     make_censor,
 )
 from ..netsim import Middlebox, Network, NullTrace, RingTrace, Trace
@@ -69,22 +54,6 @@ from ..tcpstack import Host, SERVER_PERSONALITY, personality
 from .spec import COUNTRY_PREFIXES, FleetSpec, FlowPlan
 
 __all__ = ["FleetWorld", "FlowRngs", "derive_flow_rngs", "fleet_selector"]
-
-_CLIENT_CLASSES = {
-    "http": HTTPClient,
-    "https": HTTPSClient,
-    "dns": DNSClient,
-    "ftp": FTPClient,
-    "smtp": SMTPClient,
-}
-
-_SERVER_CLASSES = {
-    "http": HTTPServer,
-    "https": HTTPSServer,
-    "dns": DNSServer,
-    "ftp": FTPServer,
-    "smtp": SMTPServer,
-}
 
 #: Terminal flow verdicts, labelled like the rest of the repro metrics.
 _FLEET_FLOWS = Counter(
@@ -211,7 +180,7 @@ class FleetWorld:
 
         self.selector = selector if selector is not None else fleet_selector()
         protocols = spec.protocols()
-        port_protocols = {default_port(p): p for p in protocols}
+        port_protocols = {PROTOCOLS[p].port: p for p in protocols}
         self.engine = PerClientEngine(
             self.selector,
             protocols[0],
@@ -223,8 +192,8 @@ class FleetWorld:
 
         self.server_apps = {}
         for protocol in protocols:
-            port = default_port(protocol)
-            app = _SERVER_CLASSES[protocol](self.server_host, port)
+            port = PROTOCOLS[protocol].port
+            app = PROTOCOLS[protocol].server(self.server_host, port)
             app.install()
             self.server_apps[port] = app
 
@@ -327,18 +296,11 @@ class FleetWorld:
         flow.network = network
         self._flows[plan.client_ip] = flow
 
-        params = (
-            censored_workload(plan.country, plan.protocol)
-            if plan.country is not None
-            and (plan.country, plan.protocol) in _CENSORED_WORKLOADS
-            else benign_workload(plan.protocol)
-        )
+        params = workload_for(plan.country, plan.protocol)
         if plan.protocol == "dns":
             params.setdefault("tries", 3)
-        port = default_port(plan.protocol)
-        client_app = _CLIENT_CLASSES[plan.protocol](
-            client_host, SERVER_IP, port, **params
-        )
+        apps = PROTOCOLS[plan.protocol]
+        client_app = apps.client(client_host, SERVER_IP, apps.port, **params)
         client_app.on_complete = lambda outcome: self._note_complete(flow)
         flow.client_app = client_app
         self.admitted += 1

@@ -9,8 +9,8 @@ from hypothesis import strategies as st
 from repro.censors.adaptive import (
     ADAPTIVE_COUNTRIES,
     CensorGenome,
-    _spec_map,
 )
+from repro.censors.registry import country_profile
 
 countries = st.sampled_from(ADAPTIVE_COUNTRIES)
 seeds = st.integers(min_value=0, max_value=2**32 - 1)
@@ -53,7 +53,7 @@ def test_mutation_stays_in_bounds(country, seed, operations):
     genome = CensorGenome.baseline(country).mutate(
         random.Random(seed), operations=operations
     )
-    for name, spec in _spec_map(country).items():
+    for name, spec in country_profile(country).spec_map.items():
         value = genome.params[name]
         if spec.kind == "bool":
             assert isinstance(value, bool)

@@ -10,12 +10,8 @@ import pytest
 
 from repro.core import SERVER_STRATEGIES, deployed_strategy
 from repro.deploy import RECOMMENDED_STRATEGIES
-from repro.eval import (
-    COUNTRY_PROTOCOLS,
-    censored_workload,
-    run_trial,
-    success_rate,
-)
+from repro.censors import country_profile
+from repro.eval import COUNTRY_PROTOCOLS, run_trial, success_rate
 from repro.eval.reference import TABLE2_CHINA, paper_rate
 from repro.eval.table2 import Table2Cell
 
@@ -41,7 +37,7 @@ class TestRecommendedStrategies:
         (southkorea, russia) postdate the paper and have no Table 2 row;
         their grid lives in eval/sni_matrix.py."""
         for (country, protocol), number in RECOMMENDED_STRATEGIES.items():
-            if country in ("southkorea", "russia"):
+            if not country_profile(country).table2:
                 continue
             chosen = paper_rate(country, number, protocol)
             assert chosen is not None, (country, protocol)
@@ -51,12 +47,6 @@ class TestRecommendedStrategies:
 
 
 class TestReferenceConsistency:
-    def test_every_censored_pair_has_workload(self):
-        for country, protocols in COUNTRY_PROTOCOLS.items():
-            for protocol in protocols:
-                workload = censored_workload(country, protocol)
-                assert workload, (country, protocol)
-
     def test_table2_china_rows_complete(self):
         for number, row in TABLE2_CHINA.items():
             assert set(row) == {"dns", "ftp", "http", "https", "smtp"}, number

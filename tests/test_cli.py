@@ -20,6 +20,27 @@ class TestParser:
     def test_rejects_unknown_country(self):
         with pytest.raises(SystemExit):
             build_parser().parse_args(["trial", "narnia", "http"])
+        # Every country and protocol choice comes from the registry.
+        from repro.censors.registry import COUNTRY_NAMES, PROTOCOLS, select_countries
+
+        commands = next(
+            action for action in build_parser()._actions if action.dest == "command"
+        ).choices
+
+        def choices(command, dest):
+            actions = commands[command]._actions
+            return list(next(action for action in actions if action.dest == dest).choices)
+
+        names = list(COUNTRY_NAMES)
+        for command in ("trial", "rates", "waterfall", "profile"):
+            assert choices(command, "country") == names + ["none"]
+            assert choices(command, "protocol") == list(PROTOCOLS)
+        assert choices("evolve", "country") == names
+        assert choices("coevolve", "country") == names
+        assert choices("robustness", "countries") == names
+        assert choices("fleet", "countries") == names + ["none"]
+        assert choices("sni", "countries") == list(select_countries(block="sni"))
+        assert "(default: all)" in commands["robustness"].format_help()
 
 
 class TestCommands:

@@ -71,13 +71,6 @@ class TestSelector:
         assert str(strategy) == str(deployed_strategy(RECOMMENDED_STRATEGIES[("china", "ftp")]))
         assert selector.strategy_for("8.8.8.8", "ftp") is None
 
-    def test_recommended_table_covers_every_censored_pair(self):
-        from repro.eval import COUNTRY_PROTOCOLS
-
-        for country, protocols in COUNTRY_PROTOCOLS.items():
-            for protocol in protocols:
-                assert (country, protocol) in RECOMMENDED_STRATEGIES
-
 
 class TestMidPathDeployment:
     def test_strategy_at_middlebox_evades(self):
