@@ -14,7 +14,7 @@ class answering it. The client reports a terminal :attr:`outcome`:
 
 from __future__ import annotations
 
-from typing import Callable, List, Optional
+from typing import Callable, Optional
 
 from ..tcpstack import Host, TCPEndpoint
 
@@ -153,27 +153,10 @@ class BaseServer:
     def __init__(self, host: Host, port: int) -> None:
         self.host = host
         self.port = port
-        self.connections: List[TCPEndpoint] = []
 
     def install(self) -> None:
         """Start listening."""
-        self.host.listen(self.port, self._accept)
-
-    def _accept(self, endpoint: TCPEndpoint) -> None:
-        self.connections.append(endpoint)
-        self._on_connection(endpoint)
-
-    def forget_connection(self, endpoint: TCPEndpoint) -> None:
-        """Drop a recycled connection (fleet mode prunes on close).
-
-        Single-flow trials never call this — ``connections`` retains the
-        handful of endpoints a trial accepts — but a long-lived fleet
-        server would otherwise accumulate one entry per client forever.
-        """
-        try:
-            self.connections.remove(endpoint)
-        except ValueError:
-            pass
+        self.host.listen(self.port, self._on_connection)
 
     def _on_connection(self, endpoint: TCPEndpoint) -> None:
         raise NotImplementedError

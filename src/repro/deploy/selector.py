@@ -65,6 +65,8 @@ class GeoStrategySelector:
     ) -> None:
         self._prefixes: List[Tuple[int, int, int, str]] = []  # net, mask, len, country
         self.table = dict(table if table is not None else RECOMMENDED_STRATEGIES)
+        #: Parsed strategy per number, with whether it is stateful.
+        self._templates: Dict[int, Tuple[Strategy, bool]] = {}
 
     def add_prefix(self, cidr: str, country: str) -> None:
         """Register a client prefix as belonging to a censored country."""
@@ -82,14 +84,24 @@ class GeoStrategySelector:
         return None
 
     def strategy_for(self, client_ip: str, protocol: str) -> Optional[Strategy]:
-        """Pick a strategy for one client, or ``None`` (no evasion needed)."""
+        """Pick a strategy for one client, or ``None`` (no evasion needed).
+
+        Each strategy is parsed once. Stateful strategies (``stall``)
+        mutate as they apply, so every call gets a private copy, the
+        rule :meth:`~repro.core.engine.StrategyEngine.reset` follows.
+        """
         country = self.country_for(client_ip)
         if country is None:
             return None
         number = self.table.get((country, protocol))
         if number is None:
             return None
-        return deployed_strategy(number)
+        cached = self._templates.get(number)
+        if cached is None:
+            template = deployed_strategy(number)
+            cached = self._templates[number] = (template, template.is_stateful())
+        template, stateful = cached
+        return template.copy() if stateful else template
 
 
 class PerClientEngine:
@@ -122,6 +134,9 @@ class PerClientEngine:
         #: falling back to the engine-wide ``protocol``.
         self.port_protocols = dict(port_protocols or {})
         self.decisions: Dict[tuple, Optional[Strategy]] = {}
+        #: ``decisions`` keys per client address, so per-client queries
+        #: and :meth:`forget_client` never scan other clients' entries.
+        self._client_keys: Dict[str, List[tuple]] = {}
 
     def _protocol_for(self, port: int) -> str:
         return self.port_protocols.get(port, self.protocol)
@@ -139,6 +154,7 @@ class PerClientEngine:
                 self.decisions[key] = self.selector.strategy_for(
                     packet.src, self._protocol_for(packet.dport)
                 )
+                self._client_keys.setdefault(packet.src, []).append(key)
         return [packet]
 
     def outbound_filter(self, packet: Packet) -> List[Packet]:
@@ -149,10 +165,16 @@ class PerClientEngine:
             return [packet]
         return strategy.apply_outbound(packet, self._rng_for(packet.dst))
 
+    def chose_strategy(self, client_ip: str) -> bool:
+        """Whether any of one client's connections was given a strategy."""
+        decisions = self.decisions
+        return any(
+            decisions[key] is not None for key in self._client_keys.get(client_ip, ())
+        )
+
     def forget_client(self, client_ip: str) -> None:
         """Drop every recorded decision for one client (flow recycled)."""
-        stale = [key for key in self.decisions if key[0] == client_ip]
-        for key in stale:
+        for key in self._client_keys.pop(client_ip, ()):
             del self.decisions[key]
 
 

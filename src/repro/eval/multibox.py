@@ -22,6 +22,7 @@ import random
 from typing import Dict, Optional, Sequence
 
 from ..censors import CHINA_PROFILES, GreatFirewall
+from ..censors.registry import workload_for
 from ..core import Strategy, deployed_strategy
 from .reference import CHINA_PROTOCOLS
 from .runner import Trial, run_trial, success_rate
@@ -88,21 +89,33 @@ def single_box_profiles(base_protocol: str = "http") -> dict:
 
 
 def forbidden_payload(protocol: str) -> bytes:
-    """The raw forbidden query bytes for one protocol (China workloads)."""
+    """The raw forbidden query bytes for one protocol (China workloads).
+
+    Built from the registry's censored workload for China, so a probe
+    always carries the request the trials send. The HTTP probe omits the
+    client's ``Connection`` header and the ClientHello uses the default
+    (unseeded) random fields: the GFW matches only the censored field.
+    """
     from ..apps.dns import build_query
     from ..apps.tls import build_client_hello
 
+    if protocol not in CHINA_PROTOCOLS:
+        raise ValueError(f"unknown protocol {protocol!r}")
+    workload = workload_for("china", protocol)
     if protocol == "http":
-        return b"GET /?q=ultrasurf HTTP/1.1\r\nHost: example.com\r\n\r\n"
+        return (
+            f"GET {workload['path']} HTTP/1.1\r\n"
+            f"Host: {workload['host_header']}\r\n\r\n"
+        ).encode()
     if protocol == "https":
-        return build_client_hello("www.wikipedia.org")
+        return build_client_hello(workload["server_name"])
     if protocol == "dns":
-        return build_query("www.wikipedia.org", 0x1234)
+        return build_query(workload["qname"], 0x1234)
     if protocol == "ftp":
-        return b"RETR ultrasurf.txt\r\n"
+        return f"RETR {workload['filename']}\r\n".encode()
     if protocol == "smtp":
-        return b"RCPT TO:<xiazai@upup.info>\r\n"
-    raise ValueError(f"unknown protocol {protocol!r}")
+        return f"RCPT TO:<{workload['recipient']}>\r\n".encode()
+    raise ValueError(f"no localization probe for {protocol!r}")
 
 
 def localize_boxes(

@@ -26,15 +26,26 @@ server. The pieces that make that hold with *many* flows:
   would never have run them) and its state recycles at quiescence.
 
 Recycling on FIN/RST/timeout: endpoints leave the shared server's demux
-table as they close (pruning the server apps' connection lists), and at
-flow quiescence the router entry, engine decisions, and packet-arena
-lease are all returned.
+table (and the flow's endpoint index) as they close, and at flow
+quiescence the router entry, engine decisions, and packet-arena
+lease are all returned. The slice itself — streams, client host, censor,
+padded chain and network — goes back to a free list per ``(country,
+client_os)`` cohort, and the next flow of that cohort re-arms it the way
+:meth:`~repro.eval.runner.Trial.rearm` re-arms a trial world: streams
+reseeded in place, the client host readdressed and reset, every box
+reset, the flow's trace installed. Only the client app, the flow handle
+and the trace are built per flow. With the fast path off every flow
+builds its slice afresh, the reference the reuse is checked against.
+
+Per-flow bookkeeping is O(1): the engine indexes its decisions and the
+world indexes the server endpoints by client address, so finalizing or
+recycling a flow never looks at another flow's state.
 """
 
 from __future__ import annotations
 
 import random
-from typing import Callable, Dict, List, NamedTuple, Optional
+from typing import Callable, Dict, List, NamedTuple, Optional, Tuple
 
 from .. import fastpath as _fastpath
 from ..censors.registry import PROTOCOLS, workload_for
@@ -43,6 +54,7 @@ from ..eval.runner import (
     DEFAULT_CENSOR_HOP,
     DEFAULT_SERVER_HOP,
     SERVER_IP,
+    _new_stream,
     make_censor,
 )
 from ..netsim import Middlebox, Network, NullTrace, RingTrace, Trace
@@ -50,7 +62,7 @@ from ..netsim.flows import FlowHandle, FlowRouter, FlowScheduler
 from ..obs.metrics import Counter, Histogram
 from ..packets.pool import PacketArena
 from ..runtime.seeds import fleet_stream_seed
-from ..tcpstack import Host, SERVER_PERSONALITY, personality
+from ..tcpstack import Host, SERVER_PERSONALITY, TCPEndpoint, personality
 from .spec import COUNTRY_PREFIXES, FleetSpec, FlowPlan
 
 __all__ = ["FleetWorld", "FlowRngs", "derive_flow_rngs", "fleet_selector"]
@@ -82,6 +94,13 @@ class FlowRngs(NamedTuple):
     strategy: random.Random
 
 
+def _seed_flow_rngs(rngs: FlowRngs, base: random.Random, flow_seed: int) -> None:
+    """Seed ``rngs`` in place from ``flow_seed``, in derivation order."""
+    base.seed(flow_seed)
+    for stream in rngs:
+        stream.seed(base.randrange(1 << 30))
+
+
 def derive_flow_rngs(flow_seed: int) -> FlowRngs:
     """Replicate ``Trial``'s per-seed RNG stream derivation exactly.
 
@@ -90,13 +109,9 @@ def derive_flow_rngs(flow_seed: int) -> FlowRngs:
     the same split so a flow with trial seed ``s`` draws the same
     numbers, in the same order, as ``Trial(seed=s)`` would.
     """
-    base = random.Random(flow_seed)
-    return FlowRngs(
-        censor=random.Random(base.randrange(1 << 30)),
-        client=random.Random(base.randrange(1 << 30)),
-        server=random.Random(base.randrange(1 << 30)),
-        strategy=random.Random(base.randrange(1 << 30)),
-    )
+    rngs = FlowRngs(_new_stream(), _new_stream(), _new_stream(), _new_stream())
+    _seed_flow_rngs(rngs, _new_stream(), flow_seed)
+    return rngs
 
 
 def fleet_selector() -> GeoStrategySelector:
@@ -108,30 +123,66 @@ def fleet_selector() -> GeoStrategySelector:
     return selector
 
 
+class _Slice:
+    """One flow's world: RNG streams, client host, censor, chain, network.
+
+    Everything in it depends only on the cohort ``(country, client_os)``
+    once the streams are seeded, so a recycled slice serves any later
+    flow of its cohort: :meth:`rearm` puts it into exactly the state a
+    fresh build for that flow would have, in the same draw order.
+    """
+
+    __slots__ = ("base", "rngs", "client_host", "censor", "network")
+
+    def __init__(
+        self, scheduler: FlowScheduler, server_host: Host, plan: FlowPlan, trace: Trace
+    ) -> None:
+        self.base = _new_stream()
+        self.rngs = FlowRngs(_new_stream(), _new_stream(), _new_stream(), _new_stream())
+        _seed_flow_rngs(self.rngs, self.base, plan.seed)
+        self.client_host = Host(
+            "client",
+            plan.client_ip,
+            scheduler,
+            self.rngs.client,
+            personality(plan.client_os),
+        )
+        self.censor = make_censor(plan.country, self.rngs.censor)
+        middleboxes: List[Middlebox] = [
+            Middlebox() for _ in range(DEFAULT_CENSOR_HOP - 1)
+        ]
+        if self.censor is not None:
+            middleboxes.append(self.censor)
+        while len(middleboxes) < DEFAULT_SERVER_HOP - 1:
+            middleboxes.append(Middlebox())
+        self.network = Network(
+            scheduler, self.client_host, server_host, middleboxes, trace=trace
+        )
+        self.client_host.attach(self.network)
+
+    def rearm(self, plan: FlowPlan, trace: Trace) -> None:
+        """Re-arm this recycled slice for ``plan`` (same cohort)."""
+        _seed_flow_rngs(self.rngs, self.base, plan.seed)
+        self.client_host.ip = plan.client_ip
+        self.client_host.reset()
+        for box in self.network.middleboxes:
+            box.reset()
+        self.network.trace = trace
+
+
 class _LiveFlow:
     """Mutable state of one admitted, not-yet-recycled flow."""
 
-    __slots__ = (
-        "plan",
-        "handle",
-        "server_rng",
-        "strategy_rng",
-        "client_host",
-        "censor",
-        "network",
-        "client_app",
-        "outcome_time",
-    )
+    __slots__ = ("plan", "handle", "slice", "client_app", "server_endpoints", "outcome_time")
 
-    def __init__(self, plan: FlowPlan, handle: FlowHandle) -> None:
+    def __init__(self, plan: FlowPlan, handle: FlowHandle, world_slice: _Slice) -> None:
         self.plan = plan
         self.handle = handle
-        self.server_rng: Optional[random.Random] = None
-        self.strategy_rng: Optional[random.Random] = None
-        self.client_host: Optional[Host] = None
-        self.censor = None
-        self.network: Optional[Network] = None
+        self.slice = world_slice
         self.client_app = None
+        #: The shared server's open endpoints for this client, by
+        #: ``(remote_port, local_port)``, in the server host's order.
+        self.server_endpoints: Dict[Tuple[int, int], TCPEndpoint] = {}
         self.outcome_time: Optional[float] = None
 
 
@@ -161,6 +212,11 @@ class FleetWorld:
         self.scheduler = FlowScheduler()
         self.arena = PacketArena(max_free=2048)
         self._use_leases = spec.trace == "none" and _fastpath.enabled()
+        # Recycled slices per (country, client_os) cohort; the fast path
+        # off builds every flow's slice afresh instead.
+        self._reuse_slices = _fastpath.enabled()
+        self._free_slices: Dict[tuple, List[_Slice]] = {}
+        self.slices_built = 0
 
         # The deployed server. Its own RNG stream is domain-separated
         # from every flow seed and is only consumed at construction (the
@@ -176,6 +232,7 @@ class FleetWorld:
         self.router = FlowRouter(self.scheduler, self.server_host)
         self.server_host.attach(self.router)
         self.server_host.flow_rng_provider = self._server_rng_for
+        self.server_host.accept_hooks.append(self._endpoint_opened)
         self.server_host.on_endpoint_closed = self._endpoint_closed
 
         self.selector = selector if selector is not None else fleet_selector()
@@ -190,12 +247,9 @@ class FleetWorld:
         self.server_host.inbound_filters.append(self.engine.inbound_filter)
         self.server_host.outbound_filters.append(self.engine.outbound_filter)
 
-        self.server_apps = {}
         for protocol in protocols:
-            port = PROTOCOLS[protocol].port
-            app = PROTOCOLS[protocol].server(self.server_host, port)
-            app.install()
-            self.server_apps[port] = app
+            apps = PROTOCOLS[protocol]
+            apps.server(self.server_host, apps.port).install()
 
         self._flows: Dict[str, _LiveFlow] = {}
         self._next_plan = 0
@@ -210,22 +264,26 @@ class FleetWorld:
     def _server_rng_for(self, key) -> Optional[random.Random]:
         """Per-flow server stream for a passive open (keyed by client ip)."""
         flow = self._flows.get(key[0])
-        return flow.server_rng if flow is not None else None
+        return flow.slice.rngs.server if flow is not None else None
 
     def _strategy_rng_for(self, client_ip: str) -> random.Random:
         """Per-flow strategy stream for the per-client engine."""
         flow = self._flows.get(client_ip)
-        if flow is not None and flow.strategy_rng is not None:
-            return flow.strategy_rng
+        if flow is not None:
+            return flow.slice.rngs.strategy
         return self.engine.rng  # stray packet after recycle; never drawn in practice
 
+    def _endpoint_opened(self, endpoint) -> None:
+        """Index a passive open under its client's flow."""
+        flow = self._flows.get(endpoint.remote_ip)
+        if flow is not None:
+            flow.server_endpoints[endpoint.remote_port, endpoint.local_port] = endpoint
+
     def _endpoint_closed(self, endpoint) -> None:
-        """Prune recycled connections from the owning server app."""
-        app = self.server_apps.get(endpoint.local_port)
-        if app is not None:
-            forget = getattr(app, "forget_connection", None)
-            if forget is not None:
-                forget(endpoint)
+        """Drop a closed passive open from its client's flow index."""
+        flow = self._flows.get(endpoint.remote_ip)
+        if flow is not None:
+            flow.server_endpoints.pop((endpoint.remote_port, endpoint.local_port), None)
 
     # ------------------------------------------------------------------
     # Flow lifecycle
@@ -254,53 +312,33 @@ class FleetWorld:
         )
 
     def _admit(self, plan: FlowPlan, handle: FlowHandle) -> None:
-        """Build the flow's world slice (runs bound to the flow)."""
+        """Re-arm a recycled slice for the flow, or build one (bound to the flow)."""
         self._schedule_next_arrival()
 
-        rngs = derive_flow_rngs(plan.seed)
-        client_host = Host(
-            "client",
-            plan.client_ip,
-            self.scheduler,
-            rngs.client,
-            personality(plan.client_os),
-        )
-        censor = make_censor(plan.country, rngs.censor)
-        middleboxes: List[Middlebox] = [
-            Middlebox() for _ in range(DEFAULT_CENSOR_HOP - 1)
-        ]
-        if censor is not None:
-            middleboxes.append(censor)
-        while len(middleboxes) < DEFAULT_SERVER_HOP - 1:
-            middleboxes.append(Middlebox())
-        network = Network(
-            self.scheduler,
-            client_host,
-            self.server_host,
-            middleboxes,
-            trace=handle.trace,
-        )
-        client_host.attach(network)
-        self.router.register(plan.client_ip, network)
+        free = self._free_slices.get((plan.country, plan.client_os))
+        if free:
+            world_slice = free.pop()
+            world_slice.rearm(plan, handle.trace)
+        else:
+            world_slice = _Slice(self.scheduler, self.server_host, plan, handle.trace)
+            self.slices_built += 1
+        self.router.register(plan.client_ip, world_slice.network)
         # Mirror the server-host construction draw a dedicated trial
         # makes: Host.__init__ consumes randrange(1000) for its ephemeral
         # port base. The shared server host was built long ago, so the
         # flow's server stream performs the draw here instead.
-        rngs.server.randrange(1000)
+        world_slice.rngs.server.randrange(1000)
 
-        flow = _LiveFlow(plan, handle)
-        flow.server_rng = rngs.server
-        flow.strategy_rng = rngs.strategy
-        flow.client_host = client_host
-        flow.censor = censor
-        flow.network = network
+        flow = _LiveFlow(plan, handle, world_slice)
         self._flows[plan.client_ip] = flow
 
         params = workload_for(plan.country, plan.protocol)
         if plan.protocol == "dns":
             params.setdefault("tries", 3)
         apps = PROTOCOLS[plan.protocol]
-        client_app = apps.client(client_host, SERVER_IP, apps.port, **params)
+        client_app = apps.client(
+            world_slice.client_host, SERVER_IP, apps.port, **params
+        )
         client_app.on_complete = lambda outcome: self._note_complete(flow)
         flow.client_app = client_app
         self.admitted += 1
@@ -308,7 +346,8 @@ class FleetWorld:
         client_app.start()
         # The flow's verdict deadline — identical to Trial.run's
         # ``network.run(until=max_time)`` horizon, relative to arrival.
-        self.scheduler.schedule(plan.max_time, lambda: self._deadline(flow))
+        scheduler = self.scheduler
+        scheduler.schedule_at(scheduler.now + plan.max_time, self._deadline, (flow,))
 
     def _note_complete(self, flow: _LiveFlow) -> None:
         if flow.outcome_time is None:
@@ -332,11 +371,7 @@ class FleetWorld:
         app = flow.client_app
         outcome = app.outcome or "timeout"
         country = plan.country or "none"
-        strategy_hit = any(
-            decision is not None
-            for key, decision in self.engine.decisions.items()
-            if key[0] == plan.client_ip
-        )
+        censor = flow.slice.censor
         latency = (
             flow.outcome_time - plan.arrival
             if flow.outcome_time is not None
@@ -351,12 +386,10 @@ class FleetWorld:
             "arrival": round(plan.arrival, 9),
             "outcome": outcome,
             "succeeded": app.succeeded,
-            "censored": (
-                flow.censor.censorship_events > 0 if flow.censor is not None else False
-            ),
+            "censored": censor.censorship_events > 0 if censor is not None else False,
             "strategy": (
                 self.selector.table.get((plan.country, plan.protocol))
-                if strategy_hit
+                if self.engine.chose_strategy(plan.client_ip)
                 else None
             ),
             "latency": round(latency, 9) if latency is not None else None,
@@ -377,9 +410,8 @@ class FleetWorld:
         handle = flow.handle
         handle.closed = True
         handle.on_quiescent = self._recycle
-        for endpoint in self.server_host.endpoints():
-            if endpoint.remote_ip == plan.client_ip:
-                endpoint._teardown()
+        for endpoint in list(flow.server_endpoints.values()):
+            endpoint._teardown()
         if self.on_flow_done is not None:
             self.on_flow_done(self, record)
 
@@ -392,8 +424,12 @@ class FleetWorld:
             handle.arena.reclaim()
             handle.arena = None
         if flow is not None:
-            flow.network = None
-            flow.client_host = None
+            if self._reuse_slices:
+                plan = flow.plan
+                self._free_slices.setdefault((plan.country, plan.client_os), []).append(
+                    flow.slice
+                )
+            flow.slice = None
             flow.client_app = None
         self.recycled += 1
         _FLEET_RECYCLED.inc()

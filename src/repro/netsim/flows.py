@@ -184,8 +184,6 @@ class FlowScheduler(Scheduler):
                     self._check_quiescent(flow)
                     continue
             if timer is not None and timer.cancelled:
-                if flow is not None:
-                    self._check_quiescent(flow)
                 continue
             if when > self.now:
                 self.now = when
@@ -201,7 +199,9 @@ class FlowScheduler(Scheduler):
                 finally:
                     self.current = previous
                     _pool._ACTIVE = previous_arena
-                self._check_quiescent(flow)
+                # Only a closed flow can quiesce; live flows skip the call.
+                if flow.closed:
+                    self._check_quiescent(flow)
             executed += 1
         self.exhausted = executed >= max_events and self._event_due(
             until if until is not None else math.inf

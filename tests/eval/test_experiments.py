@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.censors.registry import country_profile, workload_for
 from repro.core import deployed_strategy
 from repro.eval.client_compat import (
     EXPECTED_OS_FAILURES,
@@ -101,8 +102,21 @@ class TestMultibox:
         assert hops["ftp"] == 3
 
     def test_forbidden_payloads_defined(self):
-        for protocol in ("dns", "ftp", "http", "https", "smtp"):
-            assert forbidden_payload(protocol)
+        """Every China probe carries its registry workload's censored
+        fields on the wire (DNS names label-encoded)."""
+        for protocol in country_profile("china").protocols:
+            payload = forbidden_payload(protocol)
+            workload = workload_for("china", protocol)
+            assert workload, protocol
+            for value in workload.values():
+                if protocol == "dns":
+                    wire = b"".join(
+                        bytes([len(label)]) + label.encode()
+                        for label in value.split(".")
+                    )
+                else:
+                    wire = value.encode()
+                assert wire in payload, (protocol, value)
         with pytest.raises(ValueError):
             forbidden_payload("gopher")
 

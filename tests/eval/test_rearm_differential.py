@@ -12,6 +12,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from repro import fastpath
 from repro.censors import ADAPTIVE_COUNTRIES, axis_probe_genomes
 from repro.core import CLIENT_SIDE_STRATEGIES, client_side_strategy, deployed_strategy
 from repro.eval.runner import COUNTRY_PROTOCOLS, Trial
@@ -138,9 +139,14 @@ def test_rearm_matches_fresh_adaptive_censor(genome, data, number, seeds):
 
 
 @pytest.mark.parametrize("first_keeps_trace", [False, True])
-def test_world_of_the_other_capture_mode_is_not_reused(first_keeps_trace):
+def test_world_of_the_other_capture_mode_is_not_reused(first_keeps_trace, monkeypatch):
     """A world built with trace capture off (or on) is rebuilt, not
-    re-armed, for a call that needs the other mode."""
+    re-armed, for a call that needs the other mode.
+
+    Worlds are only handed back with the fast path on, so the test pins
+    it on for itself and runs the same under ``REPRO_FASTPATH=0``.
+    """
+    monkeypatch.setattr(fastpath, "_ENABLED", True)  # restored at teardown
     spec = TrialSpec.build("china", "http", deployed_strategy(1), seed=3)
     _, world = spec.run_in(None, keep_trace=first_keeps_trace)
     assert world.capture_trace is first_keeps_trace

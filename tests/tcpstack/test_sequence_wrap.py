@@ -97,12 +97,9 @@ class _BulkServer:
     def __init__(self, host, port):
         self.host = host
         self.port = port
-        self.connections = []
 
     def install(self):
         def on_accept(endpoint):
-            self.connections.append(endpoint)
-
             def on_data(data):
                 endpoint.send(BULK)
                 endpoint.close()
@@ -120,6 +117,8 @@ def _pin_isn(host, isn):
 
 def run_exchange(linked_hosts, protocol, client_isn, server_isn, dropper=None):
     pair = linked_hosts(middleboxes=[dropper] if dropper is not None else [])
+    accepted = []
+    pair.server.accept_hooks.append(accepted.append)
     _pin_isn(pair.client, client_isn)
     _pin_isn(pair.server, server_isn)
     if protocol == "bulk":
@@ -137,7 +136,7 @@ def run_exchange(linked_hosts, protocol, client_isn, server_isn, dropper=None):
     server.install()
     client.start()
     pair.run(until=60.0)
-    return pair, client, server.connections[0]
+    return pair, client, accepted[0]
 
 
 def assert_clean_close(client, server_ep, client_isn, server_isn):

@@ -229,14 +229,24 @@ class TestTelemetryFlags:
 
 class TestProfileCommand:
     def test_profile_breakdown(self, capsys):
+        """Deterministic facts only; the wall-clock coverage floor is a
+        benchmark gate (``benchmarks/test_perf_profile.py``)."""
         assert main(["profile", "--country", "china", "--protocol", "http",
                      "--trials", "3", "--seed", "0"]) == 0
         out = capsys.readouterr().out
-        assert "simulate" in out
-        assert "trial total" in out
-        assert "phase coverage:" in out
+        rows = {
+            line[:24].strip(): line.split()
+            for line in out.splitlines()
+            if line[:24].strip() in ("spec_decode", "build", "simulate",
+                                     "finalize", "trial total")
+        }
+        assert sorted(rows) == [
+            "build", "finalize", "simulate", "spec_decode", "trial total",
+        ]
+        for label, fields in rows.items():
+            assert int(fields[-2]) == 3, label  # the calls column
         coverage = float(out.split("phase coverage:")[1].split("%")[0])
-        assert coverage >= 90.0
+        assert coverage > 0.0
 
     def test_profile_metrics_json(self, tmp_path, capsys):
         import json
